@@ -189,9 +189,6 @@ class AffineSubspace:
         x = as_vector(x, self.ambient_dim)
         return float(np.linalg.norm(x - self.project(x))) <= tol * (1.0 + np.linalg.norm(x))
 
-    def translate(self, z) -> "AffineSubspace":
-        return AffineSubspace(self.anchor + as_vector(z, self.ambient_dim), self.direction)
-
     def same_set(self, other: "AffineSubspace", tol: float = FEAS_TOL) -> bool:
         return (
             self.direction.same_span(other.direction, tol)
@@ -219,30 +216,44 @@ def orthogonal_complement(L: LinearSubspace) -> LinearSubspace:
     return LinearSubspace(n, C.T)
 
 
+# A principal angle theta counts as zero when sin(theta) <= ANGLE_SINE_TOL.
+# This matches the rank decision null_space(M, rcond=RANK_TOL) on the stacked
+# complement system M = [A^perp; B^perp]: the angle contributes the singular
+# value sqrt(1 - cos theta) = sqrt(2) sin(theta/2) to M, whose largest singular
+# value is sqrt(2) whenever A + B != R^n, so the direction is kept iff
+# sin(theta/2) <= RANK_TOL, i.e. sin(theta) ~ 2 sin(theta/2) <= 2 RANK_TOL.
+ANGLE_SINE_TOL = 2.0 * RANK_TOL
+
+
 def intersect(a, b, tol: float = FEAS_TOL):
     """Intersection of two affine (or linear) subspaces.
 
     Returns an :class:`AffineSubspace`, or ``None`` when the sets are
-    disjoint (e.g. parallel lines).  The intersection is computed from the
-    nullspace of the stacked orthogonal-complement system, which stays well
-    conditioned even for subspaces meeting at small angles.
+    disjoint (e.g. parallel lines).  Works in the coordinates of the smaller
+    basis BA (p x n): the singular values of R = BA (I - P_B) are the sines of
+    the principal angles between the two directions (Bjorck & Golub 1973), the
+    left singular vectors with zero sine give the common directions, and the
+    anchor solves R^T c = (I - P_B)(a_B - a_A) on the nonzero sines.  No n x n
+    factorisation is made, and the sines stay accurate at small angles.
     """
     A, B = as_affine(a), as_affine(b)
     if A.ambient_dim != B.ambient_dim:
         raise ValueError("subspaces live in different ambient dimensions")
+    if A.direction.dim > B.direction.dim:
+        A, B = B, A
     n = A.ambient_dim
-    Ca = orthogonal_complement(A.direction).basis
-    Cb = orthogonal_complement(B.direction).basis
-    M = np.vstack([Ca, Cb])
-    if M.shape[0] == 0:
-        return AffineSubspace(np.zeros(n), LinearSubspace.full(n))
-    rhs = np.concatenate([Ca @ A.anchor, Cb @ B.anchor])
-    x, *_ = np.linalg.lstsq(M, rhs, rcond=None)
+    BA, BB = A.direction.basis, B.direction.basis
+    R = BA - (BA @ BB.T) @ BB
+    gap = B.anchor - A.anchor
+    gap = gap - BB.T @ (BB @ gap)
+    U, s, Vt = np.linalg.svd(R, full_matrices=False)
+    keep = s > ANGLE_SINE_TOL
+    c = U[:, keep] @ ((Vt[keep] @ gap) / s[keep])
+    x = A.anchor + BA.T @ c
     scale = 1.0 + max(np.linalg.norm(A.anchor), np.linalg.norm(B.anchor))
-    if float(np.linalg.norm(M @ x - rhs)) > tol * scale:
+    if float(np.linalg.norm(R.T @ c - gap)) > tol * scale:
         return None
-    null = scipy.linalg.null_space(M, rcond=RANK_TOL)
-    return AffineSubspace(x, LinearSubspace(n, null.T))
+    return AffineSubspace(x, LinearSubspace(n, U[:, ~keep].T @ BA))
 
 
 def intersect_all(subspaces, tol: float = FEAS_TOL):

@@ -25,7 +25,6 @@ from .linalg import (
     as_affine,
     as_vector,
     intersect,
-    orthonormal_basis,
 )
 from .operators import Compose, Identity, OperatorSet, Reflector, dr_operator, reflection_set
 
@@ -39,14 +38,18 @@ SOLVER_KINDS = (
     "avg_proj",
     "product_crm",
 )
-INIT_TRANSFORMS = ("none", "project_U1", "project_U2", "project_sum")
+INIT_TRANSFORMS = ("none", "project_U1")
 
 # CLI / CSV spelling of each solver kind.
 SOLVER_KEYS = {kind.replace("_", "-"): kind for kind in SOLVER_KINDS}
 
 
 class DivergenceError(RuntimeError):
-    """An iterate left the finite floats; carries the last finite iterate."""
+    """An iterate left the finite floats; carries the last finite iterate.
+
+    ``last_iterate`` is ``None`` only when the starting point itself is not
+    finite.
+    """
 
     def __init__(self, message, last_iterate):
         super().__init__(message)
@@ -122,12 +125,13 @@ def iterate(step, x0, cfg: IterationConfig, reference, monitor=None) -> Trace:
     reference = np.asarray(reference, dtype=float)
     errors: list[float] = []
     iterates: list[np.ndarray] | None = [] if cfg.record_trace else None
+    last_finite = None
     k = 0
     start = time.perf_counter()
     while True:
         if not np.all(np.isfinite(x)):
-            last = iterates[-1] if iterates else None
-            raise DivergenceError(f"iterate {k} is not finite", last)
+            raise DivergenceError(f"iterate {k} is not finite", last_finite)
+        last_finite = x
         if iterates is not None:
             iterates.append(x)
         monitored = monitor(x) if monitor is not None else x
@@ -143,15 +147,6 @@ def iterate(step, x0, cfg: IterationConfig, reference, monitor=None) -> Trace:
         k += 1
     wall = time.perf_counter() - start
     return Trace(np.array(errors), k, solved, wall, iterates)
-
-
-def _sum_subspace(U1: AffineSubspace, U2: AffineSubspace) -> AffineSubspace:
-    """The (affine) sum U1 + U2 = {u1 + u2}."""
-    direction = orthonormal_basis(
-        np.vstack([U1.direction.basis, U2.direction.basis]),
-        dim=U1.ambient_dim,
-    )
-    return AffineSubspace(U1.anchor + U2.anchor, direction)
 
 
 def lift_to_product(subspaces) -> tuple[AffineSubspace, AffineSubspace]:
@@ -213,14 +208,7 @@ def make_solver(spec: SolverSpec, subspaces, cc_tol: float = 1e-8, product_ops: 
     U1 = subs[0]
     identity = lambda x: x
 
-    if spec.init_transform == "none":
-        init_base = identity
-    elif spec.init_transform == "project_U1":
-        init_base = subs[0].project
-    elif spec.init_transform == "project_U2":
-        init_base = subs[1].project
-    else:
-        init_base = _sum_subspace(subs[0], subs[1]).project
+    init_base = identity if spec.init_transform == "none" else U1.project
 
     if spec.kind == "map":
         U2 = subs[1]

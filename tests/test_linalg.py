@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from circumsolve.linalg import (
+    FEAS_TOL,
     AffineSubspace,
     LinearSubspace,
     friedrichs_cosine,
@@ -10,6 +11,7 @@ from circumsolve.linalg import (
     orthogonal_complement,
     orthonormal_basis,
 )
+from circumsolve.problems import ProblemSpec, gen_subspace_pair
 
 
 def test_orthonormal_basis_drops_duplicate_direction():
@@ -85,10 +87,35 @@ def test_intersect_shared_axis():
     assert I.direction.same_span(LinearSubspace.span([(0, 1, 0)]))
 
 
-def test_intersect_parallel_lines_is_empty():
+def _parallel_lines():
     A = AffineSubspace((0, 0), LinearSubspace.span([(1, 0)]))
     B = AffineSubspace((0, 1), LinearSubspace.span([(1, 0)]))
+    return A, B
+
+
+def _planes_r6(second_direction):
+    # two planes of R^6 sharing the direction q0, offset along q3, which lies
+    # outside the sum of their spans
+    rng = np.random.default_rng(21)
+    Q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    A = AffineSubspace(Q[:, 4], LinearSubspace(6, Q[:, :2].T))
+    B = AffineSubspace(Q[:, 4] + 0.5 * Q[:, 3], LinearSubspace.span([Q[:, 0], second_direction(Q)]))
+    return A, B
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        _parallel_lines,
+        lambda: _planes_r6(lambda Q: Q[:, 1]),
+        lambda: _planes_r6(lambda Q: Q[:, 1] + Q[:, 2]),
+    ],
+    ids=["lines-R2", "parallel-planes-R6", "skew-planes-R6"],
+)
+def test_intersect_parallel_sets_are_empty(make):
+    A, B = make()
     assert intersect(A, B) is None
+    assert intersect(B, A) is None
 
 
 def test_intersect_idempotent():
@@ -105,6 +132,121 @@ def test_intersect_point_intersection():
     I = intersect(A, B)
     assert I.direction.dim == 0
     np.testing.assert_allclose(I.anchor, [1, 1], atol=1e-12)
+
+
+def _oracle_directions(B1, B2):
+    # common directions: left singular vectors of B1 B2^T with cosine 1
+    if B1.shape[0] == 0 or B2.shape[0] == 0:
+        return np.zeros((0, B1.shape[1]))
+    U, cos, _ = np.linalg.svd(B1 @ B2.T)
+    return U[:, : cos.size][:, cos >= 1 - 1e-12].T @ B1
+
+
+def _near_parallel_pair(i):
+    spec = ProblemSpec(n=100, cf_range=(0.9999, 0.999999), pairs=4, points_per_pair=0, seed=31)
+    L1, L2, _ = gen_subspace_pair(spec, i)
+    return L1, L2, spec.r
+
+
+def _nested_pair():
+    rng = np.random.default_rng(22)
+    big = LinearSubspace.span(rng.standard_normal((4, 9)))
+    small = LinearSubspace.span(rng.standard_normal((2, 4)) @ big.basis)
+    return small, big, 2
+
+
+def _complementary_pair():
+    rng = np.random.default_rng(23)
+    L = LinearSubspace.span(rng.standard_normal((3, 7)))
+    return L, orthogonal_complement(L), 0
+
+
+def _generic_pair():
+    rng = np.random.default_rng(24)
+    return LinearSubspace.span(rng.standard_normal((2, 8))), LinearSubspace.span(rng.standard_normal((5, 8))), 0
+
+
+def _full_and_subspace():
+    rng = np.random.default_rng(25)
+    return LinearSubspace.full(6), LinearSubspace.span(rng.standard_normal((2, 6))), 2
+
+
+def _full_and_full():
+    return LinearSubspace.full(5), LinearSubspace.full(5), 5
+
+
+def _zero_and_subspace():
+    rng = np.random.default_rng(26)
+    return LinearSubspace.zero(6), LinearSubspace.span(rng.standard_normal((3, 6))), 0
+
+
+def _zero_and_zero():
+    return LinearSubspace.zero(4), LinearSubspace.zero(4), 0
+
+
+LINEAR_PAIRS = {
+    "cF-near-1-a": lambda: _near_parallel_pair(0),
+    "cF-near-1-b": lambda: _near_parallel_pair(1),
+    "cF-near-1-c": lambda: _near_parallel_pair(2),
+    "cF-near-1-d": lambda: _near_parallel_pair(3),
+    "nested": _nested_pair,
+    "complementary": _complementary_pair,
+    "generic-transversal": _generic_pair,
+    "full-and-subspace": _full_and_subspace,
+    "full-and-full": _full_and_full,
+    "zero-and-subspace": _zero_and_subspace,
+    "zero-and-zero": _zero_and_zero,
+}
+
+
+@pytest.mark.parametrize("name", list(LINEAR_PAIRS))
+def test_intersect_matches_principal_vector_oracle(name):
+    L1, L2, r = LINEAR_PAIRS[name]()
+    oracle = LinearSubspace(L1.ambient_dim, _oracle_directions(L1.basis, L2.basis))
+    assert oracle.dim == r
+    for I in (intersect(L1, L2), intersect(L2, L1)):
+        assert I.direction.dim == r
+        assert I.direction.same_span(oracle)
+        np.testing.assert_allclose(I.anchor, 0.0, atol=1e-12)
+    assert intersect(L1, L2).same_set(intersect(L2, L1))
+
+
+@pytest.mark.parametrize("seed", [41, 42, 43])
+@pytest.mark.parametrize("dims", [(3, 3, 1), (2, 5, 2), (4, 6, 0)], ids=["p3q3r1", "p2q5r2", "p4q6r0"])
+def test_intersect_anchored_pair_gives_min_norm_common_point(seed, dims):
+    p, q, r = dims
+    n = 10
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    shared, own1, own2 = Q[:, :r], Q[:, r:p], Q[:, p : p + q - r]
+    z = 3.0 * rng.standard_normal(n)  # a common point, far from the origin
+    L1 = LinearSubspace.span(np.hstack([shared, own1 + 0.3 * own2[:, : p - r]]).T)
+    L2 = LinearSubspace.span(np.hstack([shared, own2]).T)
+    A, B = AffineSubspace(z, L1), AffineSubspace(z, L2)
+    I = intersect(A, B)
+    assert I is not None and I.direction.dim == r
+    assert np.linalg.norm(I.anchor) > 1.0
+    assert A.contains(I.anchor) and B.contains(I.anchor)
+    assert np.linalg.norm(A.project(I.anchor) - I.anchor) <= FEAS_TOL
+    assert np.linalg.norm(B.project(I.anchor) - I.anchor) <= FEAS_TOL
+    # oracle: minimum-norm solution of the stacked complement system
+    Pa, Pb = np.eye(n) - L1.basis.T @ L1.basis, np.eye(n) - L2.basis.T @ L2.basis
+    M = np.vstack([Pa, Pb])
+    x, *_ = np.linalg.lstsq(M, np.concatenate([Pa @ A.anchor, Pb @ B.anchor]), rcond=1e-10)
+    np.testing.assert_allclose(I.anchor, x, atol=1e-9)
+    assert I.same_set(intersect(B, A))
+
+
+def test_intersect_point_and_subspace():
+    line = AffineSubspace((0, 1, 0), LinearSubspace.span([(1, 0, 0)]))
+    on = AffineSubspace((2, 1, 0), LinearSubspace.zero(3))
+    off = AffineSubspace((2, 1, 1e-3), LinearSubspace.zero(3))
+    for a, b in ((on, line), (line, on)):
+        I = intersect(a, b)
+        assert I.direction.dim == 0
+        np.testing.assert_allclose(I.anchor, [2, 1, 0], atol=1e-14)
+    assert intersect(off, line) is None and intersect(line, off) is None
+    assert intersect(on, AffineSubspace((0, 0, 0), LinearSubspace.full(3))).same_set(on)
 
 
 def test_orthogonal_complement_basic():

@@ -60,6 +60,14 @@ def test_iterate_raises_on_divergence():
 
     with pytest.raises(DivergenceError):
         iterate(blowup, np.ones(2), IterationConfig(tol=1e-9, max_iter=50), np.zeros(2))
+    # the last finite iterate is attached whether or not a trace is recorded
+    for record in (False, True):
+        cfg = IterationConfig(tol=1e-9, max_iter=50, record_trace=record)
+        with pytest.raises(DivergenceError) as info:
+            iterate(blowup, np.ones(2), cfg, np.zeros(2))
+        last = info.value.last_iterate
+        assert last is not None and np.all(np.isfinite(last))
+        np.testing.assert_array_equal(last, np.full(2, 1e200))
 
 
 def test_config_validation():
