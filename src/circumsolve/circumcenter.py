@@ -10,6 +10,7 @@ numerical code path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,67 +56,74 @@ def _as_points(points) -> np.ndarray:
 
 
 def _accept(candidate: np.ndarray, P: np.ndarray, tol: float) -> CircumcenterResult:
-    dists = np.linalg.norm(P - candidate, axis=1)
-    radius = float(dists.mean())
-    residual = float(np.max(np.abs(dists - radius))) if len(dists) > 1 else 0.0
+    E = P - candidate
+    # the arithmetic of np.linalg.norm(E, axis=1) and of dists.mean(),
+    # without their argument handling
+    dists = np.sqrt((E * E).sum(axis=1))
+    radius = float(dists.sum()) / len(dists)
+    residual = float(np.abs(dists - radius).max()) if len(dists) > 1 else 0.0
     if residual <= tol * (1.0 + radius):
         return CircumcenterResult(candidate, radius, residual)
     return CircumcenterResult(None, radius, residual)
+
+
+_EPS = float(np.finfo(float).eps)
+_geqp3, _potrf, _potrs = scipy.linalg.get_lapack_funcs(("geqp3", "potrf", "potrs"), dtype=np.float64)
+
+
+def _circumcenter(P: np.ndarray, tol: float) -> CircumcenterResult:
+    """The Gram-system circumcenter of the rows of a checked, finite ``P``."""
+    p0 = P[0]
+    D = P[1:] - p0
+    if D.shape[0] == 0:
+        return CircumcenterResult(p0.copy(), 0.0, 0.0)
+
+    # column-pivoted QR of the n x m difference matrix: pivot k is the
+    # difference with the largest residual norm |R_kk| once the previous
+    # pivots are projected out, so |R_11| is the largest difference norm
+    qr, jpvt, _, _, _ = _geqp3(D.T)
+    residuals = np.abs(qr.diagonal()).tolist()
+    # differences below the rounding noise of the points themselves (about
+    # n*eps*|p| for points produced by chains of reflections) are treated as
+    # zero, otherwise a noise row can poison the Gram system
+    noise_floor = 64.0 * P.shape[1] * _EPS * math.sqrt((P * P).sum(axis=1).max())
+    threshold = max(RANK_TOL * residuals[0], noise_floor)
+    k = 0
+    while k < len(residuals) and residuals[k] > threshold:
+        k += 1
+
+    if k == 0:
+        candidate = p0.copy()
+    else:
+        Dc = D.take(jpvt[:k] - 1, axis=0)
+        G = Dc @ Dc.T
+        rhs = 0.5 * np.einsum("ij,ij->i", Dc, Dc)
+        c, info = _potrf(G, lower=0, clean=0)
+        if info == 0:
+            alpha, _ = _potrs(c, rhs, lower=0)
+        else:  # G is not numerically positive definite
+            alpha, *_ = np.linalg.lstsq(G, rhs, rcond=None)
+        candidate = p0 + alpha @ Dc
+    return _accept(candidate, P, tol)
 
 
 def circumcenter_points(points, tol: float = DEFAULT_CC_TOL) -> CircumcenterResult:
     """Circumcenter of a finite point set via the Gram-matrix formula.
 
     A maximal independent subset of the difference vectors ``p_i - p_1`` is
-    selected by rank-revealing orthogonalization (pivot on the largest
-    residual norm, ties broken by lowest index).  With G the Gram matrix of
-    the selected differences, the coefficients solve
-    ``G alpha = (1/2) [ ||d_j||^2 ]`` and the candidate is
+    selected by column-pivoted Householder QR (LAPACK ``geqp3``, Businger &
+    Golub 1965: pivot on the largest residual norm); the leading pivots count
+    while their residual norms exceed ``max(RANK_TOL * max|d_j|, noise floor)``.  With G the Gram matrix of the
+    selected differences, the coefficients solve
+    ``G alpha = (1/2) [ ||d_j||^2 ]`` by Cholesky (least squares when G is
+    not numerically positive definite) and the candidate is
     ``p_1 + sum_j alpha_j d_j``.  The candidate is checked for equidistance
     against all points of the set, including the ones dropped by the rank
     filter; failure returns an empty result rather than raising.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    P = _as_points(points)
-    p0 = P[0]
-    D = P[1:] - p0
-    if D.shape[0] == 0:
-        return CircumcenterResult(p0.copy(), 0.0, 0.0)
-
-    # pivoted modified Gram-Schmidt over the difference vectors; differences
-    # below the rounding noise of the points themselves (about n*eps*|p|
-    # for points produced by chains of reflections) are treated as zero,
-    # otherwise a noise row can poison the Gram system
-    scale = float(np.max(np.linalg.norm(D, axis=1)))
-    noise_floor = 64.0 * P.shape[1] * np.finfo(float).eps * float(np.max(np.linalg.norm(P, axis=1)))
-    threshold = max(RANK_TOL * scale, noise_floor)
-    work = D.copy()
-    chosen: list[int] = []
-    taken = np.zeros(D.shape[0], dtype=bool)
-    while scale > 0.0:
-        norms = np.linalg.norm(work, axis=1)
-        norms[taken] = -1.0
-        j = int(np.argmax(norms))
-        if norms[j] <= threshold:
-            break
-        e = work[j] / norms[j]
-        chosen.append(j)
-        taken[j] = True
-        work = work - np.outer(work @ e, e)
-
-    if not chosen:
-        candidate = p0.copy()
-    else:
-        Dc = D[chosen]
-        G = Dc @ Dc.T
-        rhs = 0.5 * np.einsum("ij,ij->i", Dc, Dc)
-        try:
-            alpha = scipy.linalg.cho_solve(scipy.linalg.cho_factor(G), rhs)
-        except scipy.linalg.LinAlgError:
-            alpha, *_ = np.linalg.lstsq(G, rhs, rcond=None)
-        candidate = p0 + alpha @ Dc
-    return _accept(candidate, P, tol)
+    return _circumcenter(_as_points(points), tol)
 
 
 def circumcenter_oracle(points, tol: float = DEFAULT_CC_TOL) -> CircumcenterResult:
@@ -151,8 +159,17 @@ def circumcenter_map(S: OperatorSet, x, tol: float = DEFAULT_CC_TOL) -> np.ndarr
     (always point-valued), so an empty circumcenter here signals a numerical
     failure and raises :class:`CircumcenterError` with the residual attached.
     """
-    x = as_vector(x)
-    res = circumcenter_points(S.points(x), tol)
+    return proper_circumcenter(S.points(as_vector(x)), tol)
+
+
+def proper_circumcenter(P: np.ndarray, tol: float = DEFAULT_CC_TOL) -> np.ndarray:
+    """The circumcenter of the rows of ``P``, which must exist.
+
+    ``P`` is not checked: it is the image ``S.points(x)`` of a vector that
+    the caller has checked, as in the solvers' steps.  Raises
+    :class:`CircumcenterError` when no equidistant point is found.
+    """
+    res = _circumcenter(P, tol)
     if res.value is None:
         raise CircumcenterError(
             "properness violated numerically: no equidistant point found "

@@ -196,6 +196,24 @@ class AffineSubspace:
         )
 
 
+def projection_map(s: AffineSubspace):
+    """``x -> P_s x`` without input checks, for vectors already checked to lie in R^n.
+
+    It makes the operations of :meth:`AffineSubspace.project` in the same
+    order, so it returns the same bits; the solvers' steps are built from it.
+    """
+    a, B = s.anchor, s.direction.basis
+    Bt = B.T
+    return lambda x: a + Bt @ (B @ (x - a))
+
+
+def reflection_map(s: AffineSubspace):
+    """``x -> 2 P_s x - x`` without input checks; the same bits as :meth:`AffineSubspace.reflect`."""
+    a, B = s.anchor, s.direction.basis
+    Bt = B.T
+    return lambda x: 2.0 * (a + Bt @ (B @ (x - a))) - x
+
+
 def as_affine(s) -> AffineSubspace:
     """Coerce a ``LinearSubspace`` or ``AffineSubspace`` to affine form."""
     if isinstance(s, AffineSubspace):

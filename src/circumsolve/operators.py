@@ -9,7 +9,7 @@ used for fixed sets and norms (fine at desk scale).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -23,6 +23,7 @@ from .linalg import (
     as_vector,
     intersect,
     intersect_all,
+    reflection_map,
 )
 
 _ORTHOGONALITY_TOL = 1e-10
@@ -189,28 +190,73 @@ class AffineCombo:
         return None
 
 
+def _chain(op) -> tuple:
+    """``op`` as its elementary maps in the order they are applied."""
+    if isinstance(op, Identity):
+        return ()
+    if isinstance(op, Compose):
+        return tuple(f for inner in reversed(op.ops) for f in _chain(inner))
+    return (op,)
+
+
+def _evaluator(f):
+    # a plain Reflector is applied through its exact expression without
+    # re-checking the vector; anything else, a subclass included, is called
+    return reflection_map(f.subspace) if type(f) is Reflector else f
+
+
 @dataclass(frozen=True)
 class OperatorSet:
     """Ordered finite set of isometries with a nonempty common fixed set.
 
     ``fixed`` carries the common fixed set when it is known by construction
     (reflection sets store the intersection of their subspaces here).
+
+    Each operator is flattened once into its chain of elementary maps:
+    ``Identity`` is the empty chain and a ``Compose`` its factors, applied
+    right to left.  The chains form a prefix tree (shared maps are matched by
+    identity), so :meth:`points` applies a right factor common to several
+    operators once: {Id, R_1, R_2 R_1, R_3 R_2 R_1} costs three reflections.
     """
 
     ops: tuple
     fixed: AffineSubspace | None = None
+    _plan: tuple = field(init=False, repr=False, compare=False)
+    _rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "ops", tuple(self.ops))
         if not self.ops:
             raise ValueError("operator set must be nonempty")
+        # node 0 is x; node i > 0 is plan[i - 1] = (parent node, map) applied to its parent
+        nodes: dict[tuple[int, int], int] = {}
+        plan, rows = [], []
+        for op in self.ops:
+            node = 0
+            for f in _chain(op):
+                key = (node, id(f))
+                if key not in nodes:
+                    plan.append((node, _evaluator(f)))
+                    nodes[key] = len(plan)
+                node = nodes[key]
+            rows.append(node)
+        object.__setattr__(self, "_plan", tuple(plan))
+        object.__setattr__(self, "_rows", tuple(rows))
 
     def __len__(self):
         return len(self.ops)
 
     def points(self, x) -> np.ndarray:
-        """Evaluate every operator at ``x``, one result per row."""
-        return np.array([op(x) for op in self.ops])
+        """Evaluate every operator at the vector ``x``, one result per row.
+
+        The rows equal ``op(x)`` bit for bit.  ``x`` is not checked here, as
+        each step of a solver passes its own iterate; the callers that take
+        outside input, such as :func:`circumcenter_map`, check it.
+        """
+        vals = [x]
+        for parent, f in self._plan:
+            vals.append(f(vals[parent]))
+        return np.array([vals[i] for i in self._rows])
 
 
 def apply(op, x) -> np.ndarray:

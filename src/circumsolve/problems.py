@@ -233,21 +233,31 @@ def load_problem_set(path) -> ProblemSet:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ProblemSetFormatError(f"not a valid problem-set file: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ProblemSetFormatError("a problem-set file holds one JSON object")
     version = doc.get("version")
     if version != FORMAT_VERSION:
         raise ProblemSetFormatError(
             f"unsupported problem-set version {version!r} (expected {FORMAT_VERSION})"
         )
-    n = int(doc["n"])
-    pairs = []
-    for pd in doc["pairs"]:
-        pid = pd["id"]
-        u1 = _load_subspace(n, pd["U1_basis"], pd["anchors"][0], f"{pid} U1")
-        u2 = _load_subspace(n, pd["U2_basis"], pd["anchors"][1], f"{pid} U2")
-        points = []
-        for pt in pd["points"]:
-            x0 = as_vector(pt["x0"], n)
-            ref = as_vector(pt["reference"], n)
-            points.append((x0, ref))
-        pairs.append(ProblemPair(pid, float(pd["cF"]), u1, u2, tuple(points)))
-    return ProblemSet(version, int(doc["seed"]), n, tuple(pairs))
+    try:
+        n = int(doc["n"])
+        pairs = []
+        for pd in doc["pairs"]:
+            pid = pd["id"]
+            u1 = _load_subspace(n, pd["U1_basis"], pd["anchors"][0], f"{pid} U1")
+            u2 = _load_subspace(n, pd["U2_basis"], pd["anchors"][1], f"{pid} U2")
+            points = []
+            for pt in pd["points"]:
+                x0 = as_vector(pt["x0"], n)
+                ref = as_vector(pt["reference"], n)
+                points.append((x0, ref))
+            pairs.append(ProblemPair(pid, float(pd["cF"]), u1, u2, tuple(points)))
+        seed = int(doc["seed"])
+    except ProblemSetFormatError:
+        raise
+    except KeyError as exc:
+        raise ProblemSetFormatError(f"missing field {exc}") from exc
+    except (IndexError, TypeError, ValueError) as exc:
+        raise ProblemSetFormatError(f"malformed problem-set file: {exc}") from exc
+    return ProblemSet(version, seed, n, tuple(pairs))

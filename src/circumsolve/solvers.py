@@ -12,21 +12,24 @@ first block.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .circumcenter import circumcenter_map
+from .circumcenter import proper_circumcenter
 from .linalg import (
     AffineSubspace,
     LinearSubspace,
     as_affine,
     as_vector,
     intersect,
+    projection_map,
+    reflection_map,
 )
-from .operators import Compose, Identity, OperatorSet, Reflector, dr_operator, reflection_set
+from .operators import Compose, Identity, OperatorSet, Reflector, reflection_set
 
 SOLVER_KINDS = (
     "crm_s1",
@@ -119,7 +122,9 @@ def iterate(step, x0, cfg: IterationConfig, reference, monitor=None) -> Trace:
     Stops at the smallest k with ``||monitor(x_k) - reference|| <= cfg.tol``
     (k = 0 included), or flags the run unsolved once ``cfg.max_iter``
     iterations have been taken.  A non-finite iterate raises
-    :class:`DivergenceError` with the last finite iterate attached.
+    :class:`DivergenceError` with the last finite iterate attached.  The
+    iterates are vectors; the driver checks only that they are finite, as
+    ``Solver.init`` has checked the starting point.
     """
     x = np.asarray(x0, dtype=float)
     reference = np.asarray(reference, dtype=float)
@@ -129,13 +134,13 @@ def iterate(step, x0, cfg: IterationConfig, reference, monitor=None) -> Trace:
     k = 0
     start = time.perf_counter()
     while True:
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise DivergenceError(f"iterate {k} is not finite", last_finite)
         last_finite = x
         if iterates is not None:
             iterates.append(x)
-        monitored = monitor(x) if monitor is not None else x
-        err = float(np.linalg.norm(monitored - reference))
+        gap = (monitor(x) if monitor is not None else x) - reference
+        err = math.sqrt(gap.dot(gap))  # np.linalg.norm(gap), without its argument handling
         errors.append(err)
         if err <= cfg.tol:
             solved = True
@@ -205,31 +210,45 @@ def make_solver(spec: SolverSpec, subspaces, cc_tol: float = 1e-8, product_ops: 
     if t < 2:
         raise ValueError("at least two subspaces required")
 
+    # input is checked here, once: init checks the starting point and the
+    # steps and monitors below work on the iterates without re-checking them
     U1 = subs[0]
+    n = U1.ambient_dim
     identity = lambda x: x
 
-    init_base = identity if spec.init_transform == "none" else U1.project
+    if spec.init_transform == "none":
+        init_base = lambda x0: as_vector(x0, n)
+    else:
+        init_base = U1.project
 
     if spec.kind == "map":
-        U2 = subs[1]
+        p1, p2 = projection_map(U1), projection_map(subs[1])
 
-        def step(x, _p1=U1.project, _p2=U2.project):
-            return _p2(_p1(x))
+        def step(x):
+            return p2(p1(x))
 
         return Solver(init_base, step, identity)
 
     if spec.kind == "drm":
-        T = dr_operator(subs[0], subs[1])
-        return Solver(init_base, T, U1.project)
+        # the arithmetic of dr_operator's AffineCombo, which accumulates
+        # 0.5 Id + 0.5 R_2 R_1 from zeros
+        if intersect(U1, subs[1]) is None:
+            raise ValueError("subspaces do not intersect")
+        r1, r2 = reflection_map(U1), reflection_map(subs[1])
+
+        def step(x):
+            return 0.5 * x + 0.5 * r2(r1(x))
+
+        return Solver(init_base, step, projection_map(U1))
 
     if spec.kind == "avg_proj":
-        projectors = [s.project for s in subs]
+        projectors = [projection_map(s) for s in subs]
 
-        def step(x, _ps=projectors, _t=t):
-            acc = _ps[0](x)
-            for p in _ps[1:]:
+        def step(x):
+            acc = projectors[0](x)
+            for p in projectors[1:]:
                 acc = acc + p(x)
-            return acc / _t
+            return acc / t
 
         return Solver(init_base, step, identity)
 
@@ -244,23 +263,18 @@ def make_solver(spec: SolverSpec, subspaces, cc_tol: float = 1e-8, product_ops: 
         else:
             raise ValueError(f"unknown product operator set {product_ops!r}")
         S = OperatorSet(ops, fixed=fix)
-        n = subs[0].ambient_dim
 
-        def init(x, _base=init_base, _t=t):
-            return np.tile(np.asarray(_base(x), dtype=float), _t)
+        def init(x):
+            return np.tile(init_base(x), t)
 
-        def step(x, _S=S, _tol=cc_tol):
-            return circumcenter_map(_S, x, _tol)
+        def monitor(v):
+            return v[:n]
 
-        def monitor(v, _n=n):
-            return v[:_n]
+    else:  # circumcentered reflection methods
+        S = reflection_set(spec.kind[-2:], subs)
+        init, monitor = init_base, identity
 
-        return Solver(init, step, monitor)
+    def step(x):
+        return proper_circumcenter(S.points(x), cc_tol)
 
-    # circumcentered reflection methods
-    S = reflection_set(spec.kind[-2:], subs)
-
-    def step(x, _S=S, _tol=cc_tol):
-        return circumcenter_map(_S, x, _tol)
-
-    return Solver(init_base, step, identity)
+    return Solver(init, step, monitor)

@@ -8,6 +8,7 @@ standard stopping rule (tolerance 1e-6), which keeps every checked quantity
 far above floating-point rounding while capping the iteration budget.
 """
 
+import hashlib
 import math
 import time
 
@@ -153,6 +154,23 @@ def test_criterion_03_fejer_and_projection_invariance(benchmark_grids):
     ok = fejer == 0 and pw == 0
     _report(3, "Fejer monotonicity and projection invariance on every grid iterate", ok,
             f"fejer violations={fejer}, invariance violations={pw}")
+
+
+# Iteration-count matrices of the two experiments: totals and the sha256 of the
+# sorted "problem,solver,iterations" lines.  A change that moves a count must
+# list the moved cells and explain them before these are updated.
+PINNED_GRIDS = {
+    "high": (50869, "bf0762dd68a8a88212eb83f5b85ab1ae5d6d7b3bcac04469690cd404b2da03b8"),
+    "low": (5349, "c75845447bae1a097bafeec075cd140c593e8daad7f0cad9e75d952a72661568"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_GRIDS))
+def test_iteration_matrix_is_pinned(benchmark_grids, name):
+    rows = sorted((pid, key, it) for (pid, key), it in benchmark_grids[name]["iterations"].items())
+    total = sum(it for _, _, it in rows if it is not None)
+    digest = hashlib.sha256("".join(f"{p},{k},{it}\n" for p, k, it in rows).encode()).hexdigest()
+    assert (total, digest) == PINNED_GRIDS[name]
 
 
 def _rate_pairs(count, seed, cf_lo, cf_hi):

@@ -12,6 +12,7 @@ from circumsolve.circumcenter import (
 )
 from circumsolve.linalg import AffineSubspace, LinearSubspace, intersect
 from circumsolve.operators import Compose, Identity, OperatorSet, Reflector, reflection_set
+from circumsolve.solvers import lift_to_product
 
 XAXIS = LinearSubspace.span([(1, 0)]).as_affine()
 DIAG = LinearSubspace.span([(1, 1)]).as_affine()
@@ -114,14 +115,15 @@ def test_map_fixes_common_fixed_points():
     np.testing.assert_allclose(circumcenter_map(S, z), z, atol=1e-12)
 
 
-def test_map_raises_on_non_isometric_sets():
-    # a genuine projection is not an isometry; from a generic point the
-    # image points are collinear with inconsistent distances
-    class Proj:
-        def __call__(self, x):
-            return XAXIS.project(x)
+class _Proj:
+    # a genuine projection is not an isometry
+    def __call__(self, x):
+        return XAXIS.project(x)
 
-    S = OperatorSet((Identity(), Proj(), Reflector(XAXIS)))
+
+def test_map_raises_on_non_isometric_sets():
+    # from a generic point the image points are collinear with inconsistent distances
+    S = OperatorSet((Identity(), _Proj(), Reflector(XAXIS)))
     with pytest.raises(CircumcenterError):
         circumcenter_map(S, np.array([0.7, 1.3]))
 
@@ -241,3 +243,115 @@ def test_duplicate_operator_does_not_move_the_circumcenter():
 def test_rejects_empty_point_set():
     with pytest.raises(ValueError):
         circumcenter_points(np.zeros((0, 3)))
+
+
+def _affine_subspaces(rng, t, n=6, shared_dims=1):
+    # t affine subspaces of R^n through a common nonzero point
+    z = rng.standard_normal(n)
+    shared = rng.standard_normal((shared_dims, n))
+    return [
+        AffineSubspace(z, LinearSubspace.span(np.vstack([shared, rng.standard_normal((2, n))])))
+        for _ in range(t)
+    ]
+
+
+def _operator_set(name, rng):
+    """An operator set and the dimension of its space."""
+    if name in ("s1", "s2", "s3", "s4"):
+        return reflection_set(name, _affine_subspaces(rng, 2)), 6
+    if name == "s2-t4":
+        return reflection_set("s2", _affine_subspaces(rng, 4)), 6
+    if name in ("product-minimal", "product-full"):
+        C, D = lift_to_product(_affine_subspaces(rng, 3))
+        rc, rd = Reflector(C), Reflector(D)
+        if name == "product-minimal":
+            return OperatorSet((Identity(), Compose((rc, rd)))), 18
+        return OperatorSet((Identity(), rd, rc, Compose((rc, rd)))), 18
+    if name == "duplicated":
+        S = reflection_set("s3", _affine_subspaces(rng, 2))
+        return OperatorSet(S.ops + (S.ops[1],), fixed=S.fixed), 6
+    if name == "proj":
+        return OperatorSet((Identity(), _Proj(), Reflector(XAXIS))), 2
+    raise ValueError(name)
+
+
+@pytest.mark.parametrize(
+    "name", ["s1", "s2", "s3", "s4", "s2-t4", "product-minimal", "product-full", "duplicated", "proj"]
+)
+def test_points_equal_each_operator_applied_on_its_own(name):
+    # shared chain prefixes and unchecked reflections must not change a single bit
+    rng = np.random.default_rng(27)
+    S, n = _operator_set(name, rng)
+    for _ in range(10):
+        x = rng.standard_normal(n) * 3
+        assert np.array_equal(S.points(x), np.array([op(x) for op in S.ops]))
+
+
+class _CountingMap:
+    def __init__(self, op, calls):
+        self.op, self.calls = op, calls
+
+    def __call__(self, x):
+        self.calls[0] += 1
+        return self.op(x)
+
+
+@pytest.mark.parametrize("kind, t, reflections", [("s1", 2, 2), ("s2", 4, 4), ("s3", 2, 3), ("s4", 2, 5)])
+def test_points_apply_each_shared_right_factor_once(kind, t, reflections):
+    rng = np.random.default_rng(28)
+    S = reflection_set(kind, _affine_subspaces(rng, t))
+    calls, counting = [0], {}
+
+    def counted(op):
+        # the same counter object wherever the set shares a reflector
+        if isinstance(op, Compose):
+            return Compose(tuple(counted(f) for f in op.ops))
+        if isinstance(op, Reflector):
+            return counting.setdefault(id(op), _CountingMap(op, calls))
+        return op
+
+    S_counted = OperatorSet(tuple(counted(op) for op in S.ops))
+    x = rng.standard_normal(6)
+    assert np.array_equal(S_counted.points(x), S.points(x))
+    assert calls[0] == reflections
+
+
+_C = np.array([1e6, -2e6, 5e5])
+_NOISE = 0.9 * 64 * 3 * np.finfo(float).eps * np.linalg.norm(_C + (1.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize(
+    "points, center",
+    [
+        ([(0, 0), (2, 0), (0, 2), (2, 0), (0, 0)], (1, 1)),
+        ([(3 + 2 * np.cos(a), -1 + 2 * np.sin(a)) for a in np.linspace(0.3, 5.5, 6)], (3, -1)),
+        ([(-1, 0, 0), (1, 0, 0), (1, 1e-12, 0), (0, 1, 0)], (0, 0, 0)),
+        ([_C + (-1, 0, 0), _C + (1, 0, 0), _C + (0, 1, 0), _C + (1, 0, _NOISE)], _C),
+    ],
+    ids=["duplicated-points", "six-points-in-R2", "collinear-to-1e-12", "noise-row-below-floor"],
+)
+def test_gram_route_matches_the_oracle_on_degenerate_sets(points, center):
+    P = np.array(points, dtype=float)
+    a, b = circumcenter_points(P), circumcenter_oracle(P)
+    scale = 1.0 + np.abs(P).max()
+    assert a.value is not None and b.value is not None
+    assert np.linalg.norm(a.value - b.value) <= 1e-8 * scale
+    assert np.linalg.norm(a.value - np.asarray(center, dtype=float)) <= 1e-8 * scale
+
+
+def test_gram_route_falls_back_to_least_squares(monkeypatch):
+    # both differences pass the rank filter, but 1 + 1e-18 rounds to 1, so the
+    # Gram matrix is singular in floating point and Cholesky fails
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def counting_lstsq(*args, **kwargs):
+        calls.append(1)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+    P = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1e-9)])
+    r = circumcenter_points(P)
+    assert calls
+    assert r.value is not None
+    np.testing.assert_allclose(r.value, [0.5, 5e-10], atol=1e-9)

@@ -165,3 +165,82 @@ def test_generated_pair_intersection_has_the_requested_dimension():
         L1, L2, _ = gen_subspace_pair(spec, i)
         inter = intersect_all([L1, L2])
         assert inter.direction.dim == 2
+
+
+def _saved_doc(tmp_path):
+    spec = ProblemSpec(n=4, p=1, q=1, r=0, cf_range=(0.3, 0.8), pairs=1, points_per_pair=1, seed=12)
+    path = tmp_path / "ps.json"
+    save_problem_set(generate_problem_set(spec), path)
+    return path, json.loads(path.read_text())
+
+
+def _drop(keys):
+    def edit(doc):
+        *outer, last = keys
+        for k in outer:
+            doc = doc[k]
+        del doc[last]
+    return edit
+
+
+def _set(keys, value):
+    def edit(doc):
+        *outer, last = keys
+        for k in outer:
+            doc = doc[k]
+        doc[last] = value
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _drop(["n"]),
+        _drop(["seed"]),
+        _drop(["pairs"]),
+        _drop(["pairs", 0, "id"]),
+        _drop(["pairs", 0, "cF"]),
+        _drop(["pairs", 0, "U1_basis"]),
+        _drop(["pairs", 0, "anchors"]),
+        _drop(["pairs", 0, "points"]),
+        _drop(["pairs", 0, "points", 0, "reference"]),
+    ],
+    ids=["n", "seed", "pairs", "id", "cF", "U1_basis", "anchors", "points", "reference"],
+)
+def test_load_reports_a_missing_field_as_a_format_error(tmp_path, edit):
+    path, doc = _saved_doc(tmp_path)
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ProblemSetFormatError, match="missing field"):
+        load_problem_set(path)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _set(["n"], "four"),
+        _set(["n"], None),
+        _set(["seed"], [1]),
+        _set(["pairs"], 5),
+        _set(["pairs", 0], ["pair000"]),
+        _set(["pairs", 0, "cF"], "high"),
+        _set(["pairs", 0, "anchors"], []),
+        _set(["pairs", 0, "points", 0], 3.0),
+        _set(["pairs", 0, "points", 0, "x0"], [1.0, 2.0]),
+    ],
+    ids=["n-str", "n-null", "seed-list", "pairs-int", "pair-list", "cF-str", "anchors-empty",
+         "point-number", "x0-short"],
+)
+def test_load_reports_a_malformed_field_as_a_format_error(tmp_path, edit):
+    path, doc = _saved_doc(tmp_path)
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ProblemSetFormatError):
+        load_problem_set(path)
+
+
+def test_load_rejects_a_document_that_is_not_an_object(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    with pytest.raises(ProblemSetFormatError):
+        load_problem_set(path)

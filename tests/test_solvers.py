@@ -11,6 +11,7 @@ from circumsolve.linalg import (
 )
 from circumsolve.operators import dr_operator, fixed_subspace, reflection_set
 from circumsolve.solvers import (
+    SOLVER_KINDS,
     DivergenceError,
     IterationConfig,
     SolverSpec,
@@ -97,6 +98,20 @@ def test_crm_s2_with_projected_start_reaches_the_intersection():
     np.testing.assert_allclose(x1, [0.5, 0.5], atol=1e-12)
     x2 = s.step(x1)
     np.testing.assert_allclose(x2, [0.0, 0.0], atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", SOLVER_KINDS)
+@pytest.mark.parametrize(
+    "x0",
+    [np.array([1.0]), np.array([1.0, np.nan, 0.0]), np.ones((1, 3))],
+    ids=["wrong-length", "non-finite", "2-d"],
+)
+def test_init_rejects_a_bad_starting_point(kind, x0):
+    # the steps do not re-check their iterates, so init is where a bad x0 must stop
+    planes = [LinearSubspace.span([(1, 0, 0), (0, 1, 0)]), LinearSubspace.span([(0, 1, 0), (0, 0, 1)])]
+    s = make_solver(SolverSpec(kind), planes)
+    with pytest.raises(ValueError):
+        s.init(x0)
 
 
 def test_unknown_kind_and_wrong_subspace_count():
