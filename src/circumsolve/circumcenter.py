@@ -159,14 +159,17 @@ def circumcenter_map(S: OperatorSet, x, tol: float = DEFAULT_CC_TOL) -> np.ndarr
     (always point-valued), so an empty circumcenter here signals a numerical
     failure and raises :class:`CircumcenterError` with the residual attached.
     """
-    return proper_circumcenter(S.points(as_vector(x)), tol)
+    if tol <= 0:
+        raise ValueError("tolerance must be positive")
+    return proper_circumcenter(S.points(x), tol)
 
 
 def proper_circumcenter(P: np.ndarray, tol: float = DEFAULT_CC_TOL) -> np.ndarray:
     """The circumcenter of the rows of ``P``, which must exist.
 
-    ``P`` is not checked: it is the image ``S.points(x)`` of a vector that
-    the caller has checked, as in the solvers' steps.  Raises
+    Neither ``P`` nor ``tol`` is checked: ``P`` is the image of a checked
+    vector under an operator set and ``tol`` a checked tolerance, as in
+    :func:`circumcenter_map` and the solvers' steps.  Raises
     :class:`CircumcenterError` when no equidistant point is found.
     """
     res = _circumcenter(P, tol)

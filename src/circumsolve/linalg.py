@@ -31,7 +31,7 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
         raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
     if v.size == 0:
         raise ValueError("vectors must have positive dimension")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector entries must be finite")
     if dim is not None and v.shape[0] != dim:
         raise ValueError(f"dimension mismatch: expected {dim}, got {v.shape[0]}")
@@ -82,19 +82,22 @@ class LinearSubspace:
         """Dimension of the subspace itself (number of basis vectors)."""
         return self.basis.shape[0]
 
-    def project(self, x) -> np.ndarray:
-        x = as_vector(x, self.ambient_dim)
+    def _project(self, x: np.ndarray) -> np.ndarray:
+        # the projection of a vector already checked to lie in R^n
         if self.dim == 0:
             return np.zeros(self.ambient_dim)
         return self.basis.T @ (self.basis @ x)
 
+    def project(self, x) -> np.ndarray:
+        return self._project(as_vector(x, self.ambient_dim))
+
     def reflect(self, x) -> np.ndarray:
         x = as_vector(x, self.ambient_dim)
-        return 2.0 * self.project(x) - x
+        return 2.0 * self._project(x) - x
 
     def contains(self, x, tol: float = FEAS_TOL) -> bool:
         x = as_vector(x, self.ambient_dim)
-        return float(np.linalg.norm(x - self.project(x))) <= tol * (1.0 + np.linalg.norm(x))
+        return float(np.linalg.norm(x - self._project(x))) <= tol * (1.0 + np.linalg.norm(x))
 
     def same_span(self, other: "LinearSubspace", tol: float = FEAS_TOL) -> bool:
         if self.ambient_dim != other.ambient_dim or self.dim != other.dim:
@@ -177,41 +180,30 @@ class AffineSubspace:
     def ambient_dim(self) -> int:
         return self.direction.ambient_dim
 
+    # ``_project`` and ``_reflect`` are the arithmetic of ``project`` and
+    # ``reflect`` for a vector already checked to lie in R^n; the solvers'
+    # steps and the operator-set chains apply them to their iterates
+    def _project(self, x: np.ndarray) -> np.ndarray:
+        return self.anchor + self.direction._project(x - self.anchor)
+
+    def _reflect(self, x: np.ndarray) -> np.ndarray:
+        return 2.0 * self._project(x) - x
+
     def project(self, x) -> np.ndarray:
-        x = as_vector(x, self.ambient_dim)
-        return self.anchor + self.direction.project(x - self.anchor)
+        return self._project(as_vector(x, self.ambient_dim))
 
     def reflect(self, x) -> np.ndarray:
-        x = as_vector(x, self.ambient_dim)
-        return 2.0 * self.project(x) - x
+        return self._reflect(as_vector(x, self.ambient_dim))
 
     def contains(self, x, tol: float = FEAS_TOL) -> bool:
         x = as_vector(x, self.ambient_dim)
-        return float(np.linalg.norm(x - self.project(x))) <= tol * (1.0 + np.linalg.norm(x))
+        return float(np.linalg.norm(x - self._project(x))) <= tol * (1.0 + np.linalg.norm(x))
 
     def same_set(self, other: "AffineSubspace", tol: float = FEAS_TOL) -> bool:
         return (
             self.direction.same_span(other.direction, tol)
             and float(np.linalg.norm(self.anchor - other.anchor)) <= tol * (1.0 + np.linalg.norm(self.anchor))
         )
-
-
-def projection_map(s: AffineSubspace):
-    """``x -> P_s x`` without input checks, for vectors already checked to lie in R^n.
-
-    It makes the operations of :meth:`AffineSubspace.project` in the same
-    order, so it returns the same bits; the solvers' steps are built from it.
-    """
-    a, B = s.anchor, s.direction.basis
-    Bt = B.T
-    return lambda x: a + Bt @ (B @ (x - a))
-
-
-def reflection_map(s: AffineSubspace):
-    """``x -> 2 P_s x - x`` without input checks; the same bits as :meth:`AffineSubspace.reflect`."""
-    a, B = s.anchor, s.direction.basis
-    Bt = B.T
-    return lambda x: 2.0 * (a + Bt @ (B @ (x - a))) - x
 
 
 def as_affine(s) -> AffineSubspace:

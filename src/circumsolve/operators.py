@@ -23,7 +23,6 @@ from .linalg import (
     as_vector,
     intersect,
     intersect_all,
-    reflection_map,
 )
 
 _ORTHOGONALITY_TOL = 1e-10
@@ -200,9 +199,10 @@ def _chain(op) -> tuple:
 
 
 def _evaluator(f):
-    # a plain Reflector is applied through its exact expression without
-    # re-checking the vector; anything else, a subclass included, is called
-    return reflection_map(f.subspace) if type(f) is Reflector else f
+    # a plain Reflector is applied through its subspace's unchecked core, the
+    # arithmetic of reflect without re-checking the vector; anything else, a
+    # subclass included, is called
+    return f.subspace._reflect if type(f) is Reflector else f
 
 
 @dataclass(frozen=True)
@@ -221,6 +221,7 @@ class OperatorSet:
 
     ops: tuple
     fixed: AffineSubspace | None = None
+    _dim: int | None = field(init=False, repr=False, compare=False)
     _plan: tuple = field(init=False, repr=False, compare=False)
     _rows: tuple = field(init=False, repr=False, compare=False)
 
@@ -231,6 +232,8 @@ class OperatorSet:
         # node 0 is x; node i > 0 is plan[i - 1] = (parent node, map) applied to its parent
         nodes: dict[tuple[int, int], int] = {}
         plan, rows = [], []
+        # the ambient dimension, when the fixed set or an elementary map knows it
+        dims = [self.fixed.ambient_dim] if self.fixed is not None else []
         for op in self.ops:
             node = 0
             for f in _chain(op):
@@ -238,8 +241,11 @@ class OperatorSet:
                 if key not in nodes:
                     plan.append((node, _evaluator(f)))
                     nodes[key] = len(plan)
+                    if isinstance(f, IsometryOp):
+                        dims.append(f.known_dim())
                 node = nodes[key]
             rows.append(node)
+        object.__setattr__(self, "_dim", next((d for d in dims if d is not None), None))
         object.__setattr__(self, "_plan", tuple(plan))
         object.__setattr__(self, "_rows", tuple(rows))
 
@@ -249,10 +255,13 @@ class OperatorSet:
     def points(self, x) -> np.ndarray:
         """Evaluate every operator at the vector ``x``, one result per row.
 
-        The rows equal ``op(x)`` bit for bit.  ``x`` is not checked here, as
-        each step of a solver passes its own iterate; the callers that take
-        outside input, such as :func:`circumcenter_map`, check it.
+        ``x`` is checked once (finite, 1-D and of the set's ambient dimension
+        when an operator knows it); the rows equal ``op(x)`` bit for bit.
         """
+        return self._points(as_vector(x, self._dim))
+
+    def _points(self, x: np.ndarray) -> np.ndarray:
+        # the rows of points(x) for a vector already checked, as a solver's iterate
         vals = [x]
         for parent, f in self._plan:
             vals.append(f(vals[parent]))

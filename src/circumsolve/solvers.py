@@ -26,8 +26,6 @@ from .linalg import (
     as_affine,
     as_vector,
     intersect,
-    projection_map,
-    reflection_map,
 )
 from .operators import Compose, Identity, OperatorSet, Reflector, reflection_set
 
@@ -209,6 +207,8 @@ def make_solver(spec: SolverSpec, subspaces, cc_tol: float = 1e-8, product_ops: 
         raise ValueError(f"solver {spec.kind!r} requires exactly two subspaces")
     if t < 2:
         raise ValueError("at least two subspaces required")
+    if not cc_tol > 0:
+        raise ValueError("tolerance must be positive")
 
     # input is checked here, once: init checks the starting point and the
     # steps and monitors below work on the iterates without re-checking them
@@ -222,7 +222,7 @@ def make_solver(spec: SolverSpec, subspaces, cc_tol: float = 1e-8, product_ops: 
         init_base = U1.project
 
     if spec.kind == "map":
-        p1, p2 = projection_map(U1), projection_map(subs[1])
+        p1, p2 = U1._project, subs[1]._project
 
         def step(x):
             return p2(p1(x))
@@ -234,15 +234,15 @@ def make_solver(spec: SolverSpec, subspaces, cc_tol: float = 1e-8, product_ops: 
         # 0.5 Id + 0.5 R_2 R_1 from zeros
         if intersect(U1, subs[1]) is None:
             raise ValueError("subspaces do not intersect")
-        r1, r2 = reflection_map(U1), reflection_map(subs[1])
+        r1, r2 = U1._reflect, subs[1]._reflect
 
         def step(x):
             return 0.5 * x + 0.5 * r2(r1(x))
 
-        return Solver(init_base, step, projection_map(U1))
+        return Solver(init_base, step, U1._project)
 
     if spec.kind == "avg_proj":
-        projectors = [projection_map(s) for s in subs]
+        projectors = [s._project for s in subs]
 
         def step(x):
             acc = projectors[0](x)
@@ -275,6 +275,6 @@ def make_solver(spec: SolverSpec, subspaces, cc_tol: float = 1e-8, product_ops: 
         init, monitor = init_base, identity
 
     def step(x):
-        return proper_circumcenter(S.points(x), cc_tol)
+        return proper_circumcenter(S._points(x), cc_tol)
 
     return Solver(init, step, monitor)

@@ -12,7 +12,7 @@ from circumsolve.circumcenter import (
 )
 from circumsolve.linalg import AffineSubspace, LinearSubspace, intersect
 from circumsolve.operators import Compose, Identity, OperatorSet, Reflector, reflection_set
-from circumsolve.solvers import lift_to_product
+from circumsolve.solvers import SolverSpec, lift_to_product, make_solver
 
 XAXIS = LinearSubspace.span([(1, 0)]).as_affine()
 DIAG = LinearSubspace.span([(1, 1)]).as_affine()
@@ -243,6 +243,40 @@ def test_duplicate_operator_does_not_move_the_circumcenter():
 def test_rejects_empty_point_set():
     with pytest.raises(ValueError):
         circumcenter_points(np.zeros((0, 3)))
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-8])
+@pytest.mark.parametrize(
+    "compute",
+    [
+        lambda tol: circumcenter_points([(0, 0), (2, 0)], tol),
+        lambda tol: circumcenter_oracle([(0, 0), (2, 0)], tol),
+        lambda tol: circumcenter_map(OperatorSet((Identity(), Reflector(XAXIS))), (1.0, 2.0), tol),
+        lambda tol: make_solver(SolverSpec("crm_s1"), [XAXIS, DIAG], cc_tol=tol),
+    ],
+    ids=["points", "oracle", "map", "make_solver"],
+)
+def test_a_nonpositive_tolerance_is_rejected(compute, tol):
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        compute(tol)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [np.array([1.0]), np.array([1.0, np.inf]), np.ones((1, 2))],
+    ids=["wrong-length", "non-finite", "2-d"],
+)
+@pytest.mark.parametrize(
+    "S",
+    [reflection_set("s3", [XAXIS, DIAG]), OperatorSet((Reflector(XAXIS), Reflector(DIAG)))],
+    ids=["s3", "no-identity"],
+)
+def test_points_and_map_reject_a_bad_vector(S, x):
+    # a length-1 vector would otherwise broadcast through the reflections
+    with pytest.raises(ValueError):
+        S.points(x)
+    with pytest.raises(ValueError):
+        circumcenter_map(S, x)
 
 
 def _affine_subspaces(rng, t, n=6, shared_dims=1):

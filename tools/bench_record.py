@@ -1,6 +1,6 @@
 """Record a parent/change benchmark comparison as one JSON file.
 
-    python3 tools/bench_record.py --parent ../parent-checkout --out BENCH_N.json [--pairs 10] [--seed 7]
+    python3 tools/bench_record.py --parent ../parent-checkout --out BENCH_N.json
 
 Run it from the repository root; ``--parent`` is a second checkout of the
 commit to compare against (a ``git clone`` at that commit).  For each side it
@@ -16,8 +16,8 @@ records:
   wall time, the iteration total and the sha256 of the sorted
   ``problem,solver,iterations`` lines.
 
-It then runs ``--pairs`` alternating parent/change pairs of untraced runs of
-every workload at ``--seed`` (the first side alternates from pair to pair)
+It then runs PAIRS alternating parent/change pairs of untraced runs of every
+workload at SEED (the first side alternates from pair to pair)
 and reports, per end-to-end metric, each side's values, median and quartiles
 and how many pairs the change won.  Each side runs its own checkout's
 ``perfbench/run.py`` against its own ``src/``.  The commit in an environment
@@ -36,6 +36,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 import envinfo  # noqa: E402
+
+# Ten pairs at one fixed seed, so that every BENCH file is comparable with the
+# others and has the ten pairs needed to show a gain.
+PAIRS = 10
+SEED = 7
 
 GRID = r"""
 import hashlib, json, sys, time
@@ -85,14 +90,14 @@ def summary(values: list[float]) -> dict:
     return {"median": med, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
-def compare(parent: Path, workloads: list[str], metrics: list[dict], pairs: int, seed: int) -> dict:
+def compare(parent: Path, workloads: list[str], metrics: list[dict]) -> dict:
     out = {}
     for w in workloads:
         runs = {"parent": [], "change": []}
-        for i in range(pairs):
+        for i in range(PAIRS):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                runs[side].append(perfbench(parent if side == "parent" else ROOT, w, 0, seed))
+                runs[side].append(perfbench(parent if side == "parent" else ROOT, w, 0, SEED))
         per_metric = {}
         for m in metrics:
             name = m["name"]
@@ -118,24 +123,19 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, type=Path, help="checkout of the commit to compare against")
     ap.add_argument("--out", required=True, type=Path)
-    ap.add_argument("--pairs", type=int, default=10, help="alternating parent/change pairs per workload")
-    ap.add_argument("--seed", type=int, default=7, help="workload seed of the paired runs")
     args = ap.parse_args()
     parent = args.parent.resolve()
     if not (parent / "perfbench" / "run.py").is_file():
         ap.error(f"no perfbench/run.py under {parent}")
-    if args.pairs < 2:
-        ap.error("--pairs must be at least 2")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]
     doc = {
-        "command": "python3 tools/bench_record.py --parent <parent checkout> "
-                   f"--out {args.out.name} --pairs {args.pairs} --seed {args.seed}",
+        "command": f"python3 tools/bench_record.py --parent <parent checkout> --out {args.out.name}",
         "run_seconds": spec["run_seconds"],
         "parent": record(parent, workloads),
         "change": record(ROOT, workloads),
-        "pairs": {"seed": args.seed, "count": args.pairs,
-                  "workloads": compare(parent, workloads, spec["end_to_end"], args.pairs, args.seed)},
+        "pairs": {"seed": SEED, "count": PAIRS,
+                  "workloads": compare(parent, workloads, spec["end_to_end"])},
     }
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     print(f"wrote {args.out}")
