@@ -130,7 +130,8 @@ def circumcenter_oracle(points, tol: float = DEFAULT_CC_TOL) -> CircumcenterResu
     """Independent circumcenter computation from the equidistance conditions.
 
     Parameterizes the candidate as ``p_1 + B^T c`` over an SVD-derived
-    orthonormal basis B of span{p_i - p_1} and solves the full system
+    orthonormal basis B of span{p_i - p_1}, cut at the relative ``RANK_TOL``
+    of the Gram route, and solves the full system
     ``||p - p_i||^2 = ||p - p_1||^2`` (one equation per point) by least
     squares.  Deliberately shares no code with :func:`circumcenter_points`.
     """
@@ -141,7 +142,7 @@ def circumcenter_oracle(points, tol: float = DEFAULT_CC_TOL) -> CircumcenterResu
     D = P[1:] - p0
     if D.shape[0] == 0:
         return CircumcenterResult(p0.copy(), 0.0, 0.0)
-    B = scipy.linalg.orth(D.T).T
+    B = scipy.linalg.orth(D.T, rcond=RANK_TOL).T
     if B.shape[0] == 0:
         candidate = p0.copy()
     else:

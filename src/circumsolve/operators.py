@@ -9,7 +9,7 @@ used for fixed sets and norms (fine at desk scale).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -39,6 +39,12 @@ class IsometryOp:
 
     def known_dim(self) -> int | None:
         return None
+
+
+def _first_known_dim(ops) -> int | None:
+    """The first ambient dimension an operator knows; plain callables know none."""
+    dims = (op.known_dim() for op in ops if hasattr(op, "known_dim"))
+    return next((d for d in dims if d is not None), None)
 
 
 @dataclass(frozen=True)
@@ -144,11 +150,7 @@ class Compose(IsometryOp):
         return M, b
 
     def known_dim(self):
-        for op in self.ops:
-            d = op.known_dim()
-            if d is not None:
-                return d
-        return None
+        return _first_known_dim(self.ops)
 
 
 @dataclass(frozen=True)
@@ -182,27 +184,7 @@ class AffineCombo:
         return M, b
 
     def known_dim(self):
-        for _, op in self.terms:
-            d = op.known_dim()
-            if d is not None:
-                return d
-        return None
-
-
-def _chain(op) -> tuple:
-    """``op`` as its elementary maps in the order they are applied."""
-    if isinstance(op, Identity):
-        return ()
-    if isinstance(op, Compose):
-        return tuple(f for inner in reversed(op.ops) for f in _chain(inner))
-    return (op,)
-
-
-def _evaluator(f):
-    # a plain Reflector is applied through its subspace's unchecked core, the
-    # arithmetic of reflect without re-checking the vector; anything else, a
-    # subclass included, is called
-    return f.subspace._reflect if type(f) is Reflector else f
+        return _first_known_dim(op for _, op in self.terms)
 
 
 @dataclass(frozen=True)
@@ -211,43 +193,15 @@ class OperatorSet:
 
     ``fixed`` carries the common fixed set when it is known by construction
     (reflection sets store the intersection of their subspaces here).
-
-    Each operator is flattened once into its chain of elementary maps:
-    ``Identity`` is the empty chain and a ``Compose`` its factors, applied
-    right to left.  The chains form a prefix tree (shared maps are matched by
-    identity), so :meth:`points` applies a right factor common to several
-    operators once: {Id, R_1, R_2 R_1, R_3 R_2 R_1} costs three reflections.
     """
 
     ops: tuple
     fixed: AffineSubspace | None = None
-    _dim: int | None = field(init=False, repr=False, compare=False)
-    _plan: tuple = field(init=False, repr=False, compare=False)
-    _rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "ops", tuple(self.ops))
         if not self.ops:
             raise ValueError("operator set must be nonempty")
-        # node 0 is x; node i > 0 is plan[i - 1] = (parent node, map) applied to its parent
-        nodes: dict[tuple[int, int], int] = {}
-        plan, rows = [], []
-        # the ambient dimension, when the fixed set or an elementary map knows it
-        dims = [self.fixed.ambient_dim] if self.fixed is not None else []
-        for op in self.ops:
-            node = 0
-            for f in _chain(op):
-                key = (node, id(f))
-                if key not in nodes:
-                    plan.append((node, _evaluator(f)))
-                    nodes[key] = len(plan)
-                    if isinstance(f, IsometryOp):
-                        dims.append(f.known_dim())
-                node = nodes[key]
-            rows.append(node)
-        object.__setattr__(self, "_dim", next((d for d in dims if d is not None), None))
-        object.__setattr__(self, "_plan", tuple(plan))
-        object.__setattr__(self, "_rows", tuple(rows))
 
     def __len__(self):
         return len(self.ops)
@@ -255,17 +209,12 @@ class OperatorSet:
     def points(self, x) -> np.ndarray:
         """Evaluate every operator at the vector ``x``, one result per row.
 
-        ``x`` is checked once (finite, 1-D and of the set's ambient dimension
-        when an operator knows it); the rows equal ``op(x)`` bit for bit.
+        ``x`` is checked once: finite, 1-D and of the set's ambient dimension
+        when the fixed set or an operator knows it.
         """
-        return self._points(as_vector(x, self._dim))
-
-    def _points(self, x: np.ndarray) -> np.ndarray:
-        # the rows of points(x) for a vector already checked, as a solver's iterate
-        vals = [x]
-        for parent, f in self._plan:
-            vals.append(f(vals[parent]))
-        return np.array([vals[i] for i in self._rows])
+        dim = self.fixed.ambient_dim if self.fixed is not None else _first_known_dim(self.ops)
+        x = as_vector(x, dim)
+        return np.array([op(x) for op in self.ops])
 
 
 def apply(op, x) -> np.ndarray:

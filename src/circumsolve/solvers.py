@@ -26,8 +26,8 @@ from .linalg import (
     as_affine,
     as_vector,
     intersect,
+    intersect_all,
 )
-from .operators import Compose, Identity, OperatorSet, Reflector, reflection_set
 
 SOLVER_KINDS = (
     "crm_s1",
@@ -193,13 +193,17 @@ def parallelize(subspaces, z) -> list[LinearSubspace]:
     return [s.direction for s in subs]
 
 
-def make_solver(spec: SolverSpec, subspaces, cc_tol: float = 1e-8, product_ops: str = "minimal") -> Solver:
+def make_solver(spec: SolverSpec, subspaces, cc_tol: float = 1e-8) -> Solver:
     """Instantiate a solver for the given affine subspaces.
 
     Two subspaces are required for drm/map/crm-s3/crm-s4; crm-s1, crm-s2,
-    avg-proj and product-crm accept two or more.  ``product_ops`` selects the
-    lifted operator set of product-crm: ``"minimal"`` uses {Id, R_C R_D},
-    ``"full"`` adds the two plain reflections.
+    avg-proj and product-crm accept two or more, and the CRM methods need a
+    common point.  A CRM step takes the circumcenter of the rows of
+    :func:`~circumsolve.operators.reflection_set` at x, made from the
+    subspaces' reflections (t for s1 and s2, 3 for s3, 5 for s4).
+    ``product-crm`` is the two-set CRM {Id, R_C R_D} on Pierra's lift
+    (:func:`lift_to_product`) in closed form: P_D averages the t blocks and
+    R_C reflects block i through the i-th subspace.
     """
     subs = [as_affine(s) for s in subspaces]
     t = len(subs)
@@ -252,29 +256,42 @@ def make_solver(spec: SolverSpec, subspaces, cc_tol: float = 1e-8, product_ops: 
 
         return Solver(init_base, step, identity)
 
+    if intersect_all(subs) is None:
+        raise ValueError("common fixed set is empty")
+    reflect = [s._reflect for s in subs]
+
     if spec.kind == "product_crm":
-        C, D = lift_to_product(subs)
-        fix = intersect(C, D)
-        rc, rd = Reflector(C), Reflector(D)
-        if product_ops == "minimal":
-            ops = (Identity(), Compose((rc, rd)))
-        elif product_ops == "full":
-            ops = (Identity(), rd, rc, Compose((rc, rd)))
-        else:
-            raise ValueError(f"unknown product operator set {product_ops!r}")
-        S = OperatorSet(ops, fixed=fix)
+        def step(v):
+            # R_D v = 2 P_D v - v block by block (P_D v is the blocks' mean), then R_C
+            blocks = v.reshape(t, n)
+            rd = 2.0 * (blocks.sum(axis=0) / t) - blocks
+            rcd = np.concatenate([r(b) for r, b in zip(reflect, rd)])
+            return proper_circumcenter(np.array([v, rcd]), cc_tol)
 
-        def init(x):
-            return np.tile(init_base(x), t)
+        return Solver(lambda x: np.tile(init_base(x), t), step, lambda v: v[:n])
 
-        def monitor(v):
-            return v[:n]
+    # the rows of reflection_set(kind, subs) at x, each reflection made once
+    if spec.kind == "crm_s1":
+        def images(x):
+            return [x] + [r(x) for r in reflect]
 
-    else:  # circumcentered reflection methods
-        S = reflection_set(spec.kind[-2:], subs)
-        init, monitor = init_base, identity
+    elif spec.kind == "crm_s2":
+        def images(x):
+            rows = [x]
+            for r in reflect:
+                rows.append(r(rows[-1]))
+            return rows
+
+    else:
+        r1, r2 = reflect
+        s4 = spec.kind == "crm_s4"
+
+        def images(x):
+            a = r1(x)
+            b, c = r2(x), r2(a)
+            return [x, a, b, c, r1(b), r1(c)] if s4 else [x, a, b, c]
 
     def step(x):
-        return proper_circumcenter(S._points(x), cc_tol)
+        return proper_circumcenter(np.array(images(x)), cc_tol)
 
-    return Solver(init, step, monitor)
+    return Solver(init_base, step, identity)

@@ -313,41 +313,12 @@ def _operator_set(name, rng):
     "name", ["s1", "s2", "s3", "s4", "s2-t4", "product-minimal", "product-full", "duplicated", "proj"]
 )
 def test_points_equal_each_operator_applied_on_its_own(name):
-    # shared chain prefixes and unchecked reflections must not change a single bit
+    # checking x once and calling each operator must not change a single bit
     rng = np.random.default_rng(27)
     S, n = _operator_set(name, rng)
     for _ in range(10):
         x = rng.standard_normal(n) * 3
         assert np.array_equal(S.points(x), np.array([op(x) for op in S.ops]))
-
-
-class _CountingMap:
-    def __init__(self, op, calls):
-        self.op, self.calls = op, calls
-
-    def __call__(self, x):
-        self.calls[0] += 1
-        return self.op(x)
-
-
-@pytest.mark.parametrize("kind, t, reflections", [("s1", 2, 2), ("s2", 4, 4), ("s3", 2, 3), ("s4", 2, 5)])
-def test_points_apply_each_shared_right_factor_once(kind, t, reflections):
-    rng = np.random.default_rng(28)
-    S = reflection_set(kind, _affine_subspaces(rng, t))
-    calls, counting = [0], {}
-
-    def counted(op):
-        # the same counter object wherever the set shares a reflector
-        if isinstance(op, Compose):
-            return Compose(tuple(counted(f) for f in op.ops))
-        if isinstance(op, Reflector):
-            return counting.setdefault(id(op), _CountingMap(op, calls))
-        return op
-
-    S_counted = OperatorSet(tuple(counted(op) for op in S.ops))
-    x = rng.standard_normal(6)
-    assert np.array_equal(S_counted.points(x), S.points(x))
-    assert calls[0] == reflections
 
 
 _C = np.array([1e6, -2e6, 5e5])
@@ -361,13 +332,25 @@ _NOISE = 0.9 * 64 * 3 * np.finfo(float).eps * np.linalg.norm(_C + (1.0, 0.0, 0.0
         ([(3 + 2 * np.cos(a), -1 + 2 * np.sin(a)) for a in np.linspace(0.3, 5.5, 6)], (3, -1)),
         ([(-1, 0, 0), (1, 0, 0), (1, 1e-12, 0), (0, 1, 0)], (0, 0, 0)),
         ([_C + (-1, 0, 0), _C + (1, 0, 0), _C + (0, 1, 0), _C + (1, 0, _NOISE)], _C),
+        # affinely independent only below RANK_TOL: both routes drop the
+        # 1e-12 direction, so the points are collinear and have no centre
+        ([(0, 0), (1, 0), (2, 1e-12)], None),
     ],
-    ids=["duplicated-points", "six-points-in-R2", "collinear-to-1e-12", "noise-row-below-floor"],
+    ids=[
+        "duplicated-points",
+        "six-points-in-R2",
+        "collinear-to-1e-12",
+        "noise-row-below-floor",
+        "independent-below-rank-tol",
+    ],
 )
 def test_gram_route_matches_the_oracle_on_degenerate_sets(points, center):
     P = np.array(points, dtype=float)
     a, b = circumcenter_points(P), circumcenter_oracle(P)
     scale = 1.0 + np.abs(P).max()
+    if center is None:
+        assert a.value is None and b.value is None
+        return
     assert a.value is not None and b.value is not None
     assert np.linalg.norm(a.value - b.value) <= 1e-8 * scale
     assert np.linalg.norm(a.value - np.asarray(center, dtype=float)) <= 1e-8 * scale

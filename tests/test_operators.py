@@ -6,6 +6,7 @@ from circumsolve.operators import (
     AffineCombo,
     Compose,
     Identity,
+    OperatorSet,
     OrthogonalLinear,
     Reflector,
     Translation,
@@ -311,3 +312,14 @@ def test_compose_as_matrix_applies_right_to_left():
     np.testing.assert_allclose(apply(op, x), [-2.0, 2.0])
     M, b = op.as_matrix(2)
     np.testing.assert_allclose(M @ x + b, apply(op, x), atol=1e-14)
+
+
+def test_known_dim_skips_plain_callables():
+    # a plain callable knows no dimension; the reflector after it does
+    plain = lambda x: -x
+    assert Compose((plain, Reflector(XAXIS))).known_dim() == 2
+    assert AffineCombo(((0.5, plain), (0.5, Reflector(XAXIS)))).known_dim() == 2
+    S = OperatorSet((Identity(), Compose((plain, Reflector(XAXIS)))))
+    np.testing.assert_array_equal(S.points([1.0, 2.0]), [[1.0, 2.0], [-1.0, 2.0]])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        S.points([1.0, 2.0, 3.0])
