@@ -321,6 +321,54 @@ def test_points_equal_each_operator_applied_on_its_own(name):
         assert np.array_equal(S.points(x), np.array([op(x) for op in S.ops]))
 
 
+@pytest.mark.parametrize(
+    "kind, t, reflections",
+    [("crm_s1", 4, 4), ("crm_s2", 4, 4), ("crm_s3", 2, 3), ("crm_s4", 2, 5), ("product_crm", 4, 4)],
+)
+def test_step_applies_each_reflection_once(monkeypatch, kind, t, reflections):
+    rng = np.random.default_rng(28)
+    calls = []
+    reflect = AffineSubspace._reflect
+
+    def counting(self, x):
+        calls.append(1)
+        return reflect(self, x)
+
+    monkeypatch.setattr(AffineSubspace, "_reflect", counting)
+    s = make_solver(SolverSpec(kind), _affine_subspaces(rng, t))
+    x = s.init(rng.standard_normal(6))
+    calls.clear()
+    s.step(x)
+    assert len(calls) == reflections
+
+
+@pytest.mark.parametrize(
+    "kind, t",
+    [("crm_s1", 2), ("crm_s2", 2), ("crm_s3", 2), ("crm_s4", 2), ("crm_s1", 4), ("crm_s2", 4)],
+)
+def test_crm_step_is_the_circumcenter_map_of_its_reflection_set(kind, t):
+    rng = np.random.default_rng(29)
+    subs = _affine_subspaces(rng, t)
+    S = reflection_set(kind[-2:], subs)
+    step = make_solver(SolverSpec(kind), subs).step
+    for _ in range(10):
+        x = rng.standard_normal(6) * 3
+        assert np.array_equal(step(x), circumcenter_map(S, x))
+
+
+def test_product_crm_step_matches_the_lifted_operator_set():
+    # t = 3, so the dense diagonal basis has the inexact entries 1/sqrt(3)
+    rng = np.random.default_rng(30)
+    subs = _affine_subspaces(rng, 3)
+    C, D = lift_to_product(subs)
+    S = OperatorSet((Identity(), Compose((Reflector(C), Reflector(D)))))
+    step = make_solver(SolverSpec("product_crm"), subs).step
+    for _ in range(10):
+        v = rng.standard_normal(18) * 3
+        expected = circumcenter_map(S, v)
+        assert np.linalg.norm(step(v) - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
 _C = np.array([1e6, -2e6, 5e5])
 _NOISE = 0.9 * 64 * 3 * np.finfo(float).eps * np.linalg.norm(_C + (1.0, 0.0, 0.0))
 
