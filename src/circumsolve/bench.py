@@ -76,6 +76,17 @@ def measure(
     return PerformanceCell(problem.id, spec.key, True, trace.iterations, runtime_ns)
 
 
+def _worker_count() -> int:
+    raw = os.environ.get("CIRCUMSOLVE_WORKERS", "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"CIRCUMSOLVE_WORKERS must be an integer of at least 1, got {raw!r}")
+    return workers
+
+
 def run_grid(
     problems: list[Problem],
     solver_keys: list[str],
@@ -86,11 +97,13 @@ def run_grid(
 
     Cells are computed independently; with CIRCUMSOLVE_WORKERS > 1 and the
     iteration measure they are dispatched to a thread pool (results are
-    reassembled in order, so the output never depends on scheduling).
+    reassembled in order, so the output never depends on scheduling).  A
+    CIRCUMSOLVE_WORKERS value that is not an integer of at least 1 raises
+    ``ValueError``.
     """
+    workers = _worker_count()
     specs = [SolverSpec.from_key(k) for k in solver_keys]
     jobs = [(p, s) for p in problems for s in specs]
-    workers = int(os.environ.get("CIRCUMSOLVE_WORKERS", "1"))
     if workers > 1 and measure_kind == "iterations":
         with ThreadPoolExecutor(max_workers=workers) as pool:
             cells = list(pool.map(lambda job: measure(job[0], job[1], cfg, measure_kind), jobs))

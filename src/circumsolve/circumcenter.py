@@ -72,21 +72,31 @@ _geqp3, _potrf, _potrs = scipy.linalg.get_lapack_funcs(("geqp3", "potrf", "potrs
 
 
 def _circumcenter(P: np.ndarray, tol: float) -> CircumcenterResult:
-    """The Gram-system circumcenter of the rows of a checked, finite ``P``."""
+    """The Gram-system circumcenter of the rows of a checked, finite ``P``.
+
+    Two points are solved in closed form: their midpoint, or the first point
+    when their difference is below the noise floor.  Either way the candidate
+    goes through the same equidistance test as the general solve.
+    """
     p0 = P[0]
     D = P[1:] - p0
     if D.shape[0] == 0:
         return CircumcenterResult(p0.copy(), 0.0, 0.0)
+
+    # differences below the rounding noise of the points themselves (about
+    # n*eps*|p| for points produced by chains of reflections) are treated as
+    # zero, otherwise a noise row can poison the Gram system
+    noise_floor = 64.0 * P.shape[1] * _EPS * math.sqrt((P * P).sum(axis=1).max())
+    if D.shape[0] == 1:
+        d = D[0]
+        candidate = p0 + 0.5 * d if math.sqrt(d.dot(d)) > noise_floor else p0.copy()
+        return _accept(candidate, P, tol)
 
     # column-pivoted QR of the n x m difference matrix: pivot k is the
     # difference with the largest residual norm |R_kk| once the previous
     # pivots are projected out, so |R_11| is the largest difference norm
     qr, jpvt, _, _, _ = _geqp3(D.T)
     residuals = np.abs(qr.diagonal()).tolist()
-    # differences below the rounding noise of the points themselves (about
-    # n*eps*|p| for points produced by chains of reflections) are treated as
-    # zero, otherwise a noise row can poison the Gram system
-    noise_floor = 64.0 * P.shape[1] * _EPS * math.sqrt((P * P).sum(axis=1).max())
     threshold = max(RANK_TOL * residuals[0], noise_floor)
     k = 0
     while k < len(residuals) and residuals[k] > threshold:
@@ -113,11 +123,13 @@ def circumcenter_points(points, tol: float = DEFAULT_CC_TOL) -> CircumcenterResu
     A maximal independent subset of the difference vectors ``p_i - p_1`` is
     selected by column-pivoted Householder QR (LAPACK ``geqp3``, Businger &
     Golub 1965: pivot on the largest residual norm); the leading pivots count
-    while their residual norms exceed ``max(RANK_TOL * max|d_j|, noise floor)``.  With G the Gram matrix of the
-    selected differences, the coefficients solve
-    ``G alpha = (1/2) [ ||d_j||^2 ]`` by Cholesky (least squares when G is
-    not numerically positive definite) and the candidate is
-    ``p_1 + sum_j alpha_j d_j``.  The candidate is checked for equidistance
+    while their residual norms exceed ``max(RANK_TOL * max|d_j|, noise
+    floor)``.  With G the Gram matrix of the selected differences, the
+    coefficients solve ``G alpha = (1/2) [ ||d_j||^2 ]`` by Cholesky (least
+    squares when G is not numerically positive definite) and the candidate is
+    ``p_1 + sum_j alpha_j d_j``.  Two points skip the factorisations: the
+    candidate is their midpoint ``p_1 + d_1 / 2``, or ``p_1`` when ``|d_1|``
+    is below the noise floor.  The candidate is checked for equidistance
     against all points of the set, including the ones dropped by the rank
     filter; failure returns an empty result rather than raising.
     """

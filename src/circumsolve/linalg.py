@@ -7,7 +7,7 @@ so values may be shared freely between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -19,6 +19,10 @@ RANK_TOL = 1e-10
 FEAS_TOL = 1e-9
 
 _ORTHONORMALITY_TOL = 1e-12
+
+# Below this norm a vector's squared entries fall under the smallest normal
+# float, so np.linalg.norm (the root of their sum) loses relative accuracy.
+_TINY_NORM = float(np.sqrt(np.finfo(float).tiny))
 
 
 def as_vector(x, dim: int | None = None) -> np.ndarray:
@@ -139,7 +143,10 @@ def orthonormal_basis(vectors, rank_tol: float = RANK_TOL, *, dim: int | None = 
                 w -= (e @ w) * e
         norm_w = float(np.linalg.norm(w))
         if norm_w > rank_tol * scale and norm_w > 0.0:
-            basis.append(w / norm_w)
+            e = w / norm_w
+            if norm_w < _TINY_NORM:  # the norm underflowed; normalise again
+                e = e / np.linalg.norm(e)
+            basis.append(e)
     B = np.array(basis, dtype=float).reshape(len(basis), n)
     return LinearSubspace(n, B)
 
@@ -149,11 +156,13 @@ class AffineSubspace:
     """An affine subspace ``anchor + direction`` of R^n.
 
     The anchor is canonicalized to the minimum-norm point of the set, so two
-    representations of the same set compare equal entrywise.
+    representations of the same set compare equal entrywise.  When that
+    anchor is exactly zero the set is linear, and ``through_origin`` is true.
     """
 
     anchor: np.ndarray
     direction: LinearSubspace
+    through_origin: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = as_vector(self.anchor, self.direction.ambient_dim)
@@ -166,6 +175,7 @@ class AffineSubspace:
             a = a.copy()
         a.setflags(write=False)
         object.__setattr__(self, "anchor", a)
+        object.__setattr__(self, "through_origin", not a.any())
 
     @classmethod
     def from_points(cls, points):
@@ -182,8 +192,11 @@ class AffineSubspace:
 
     # ``_project`` and ``_reflect`` are the arithmetic of ``project`` and
     # ``reflect`` for a vector already checked to lie in R^n; the solvers'
-    # steps and the operator-set chains apply them to their iterates
+    # steps and the operator-set chains apply them to their iterates; with a
+    # zero anchor, x - anchor and anchor + y are x and y up to the sign of a zero
     def _project(self, x: np.ndarray) -> np.ndarray:
+        if self.through_origin:
+            return self.direction._project(x)
         return self.anchor + self.direction._project(x - self.anchor)
 
     def _reflect(self, x: np.ndarray) -> np.ndarray:

@@ -204,6 +204,10 @@ def make_solver(spec: SolverSpec, subspaces, cc_tol: float = 1e-8) -> Solver:
     ``product-crm`` is the two-set CRM {Id, R_C R_D} on Pierra's lift
     (:func:`lift_to_product`) in closed form: P_D averages the t blocks and
     R_C reflects block i through the i-th subspace.
+
+    drm and the CRM kinds check that the subspaces share a point, and raise
+    ``ValueError`` when they do not.  When every anchor is exactly zero the
+    origin is such a point, so the check needs no :func:`intersect`.
     """
     subs = [as_affine(s) for s in subspaces]
     t = len(subs)
@@ -213,11 +217,14 @@ def make_solver(spec: SolverSpec, subspaces, cc_tol: float = 1e-8) -> Solver:
         raise ValueError("at least two subspaces required")
     if not cc_tol > 0:
         raise ValueError("tolerance must be positive")
+    n = subs[0].ambient_dim
+    if any(s.ambient_dim != n for s in subs):
+        raise ValueError("subspaces live in different ambient dimensions")
+    through_origin = all(s.through_origin for s in subs)
 
     # input is checked here, once: init checks the starting point and the
     # steps and monitors below work on the iterates without re-checking them
     U1 = subs[0]
-    n = U1.ambient_dim
     identity = lambda x: x
 
     if spec.init_transform == "none":
@@ -236,7 +243,7 @@ def make_solver(spec: SolverSpec, subspaces, cc_tol: float = 1e-8) -> Solver:
     if spec.kind == "drm":
         # the arithmetic of dr_operator's AffineCombo, which accumulates
         # 0.5 Id + 0.5 R_2 R_1 from zeros
-        if intersect(U1, subs[1]) is None:
+        if not through_origin and intersect(U1, subs[1]) is None:
             raise ValueError("subspaces do not intersect")
         r1, r2 = U1._reflect, subs[1]._reflect
 
@@ -256,7 +263,7 @@ def make_solver(spec: SolverSpec, subspaces, cc_tol: float = 1e-8) -> Solver:
 
         return Solver(init_base, step, identity)
 
-    if intersect_all(subs) is None:
+    if not through_origin and intersect_all(subs) is None:
         raise ValueError("common fixed set is empty")
     reflect = [s._reflect for s in subs]
 

@@ -186,3 +186,14 @@ def test_worker_pool_matches_sequential(tmp_path, monkeypatch):
     monkeypatch.setenv("CIRCUMSOLVE_WORKERS", "4")
     par = run_grid(problems, ["crm-s2", "map"], IterationConfig())
     assert seq == par
+
+
+@pytest.mark.parametrize("value", ["0", "-2", "two"])
+def test_run_grid_rejects_a_bad_worker_count(tmp_path, monkeypatch, value):
+    path = _tiny_problem_file(tmp_path, seed=13)
+    from circumsolve.problems import load_problem_set
+
+    problems = load_problem_set(path).problems()
+    monkeypatch.setenv("CIRCUMSOLVE_WORKERS", value)
+    with pytest.raises(ValueError, match="CIRCUMSOLVE_WORKERS"):
+        run_grid(problems, ["map"], IterationConfig())

@@ -420,3 +420,40 @@ def test_gram_route_falls_back_to_least_squares(monkeypatch):
     assert calls
     assert r.value is not None
     np.testing.assert_allclose(r.value, [0.5, 5e-10], atol=1e-9)
+
+
+def _no_factorisation(*args, **kwargs):
+    raise AssertionError("a two-point circumcenter ran a factorisation")
+
+
+@pytest.mark.parametrize("seed", [60, 61, 62])
+def test_two_point_circumcenter_is_the_midpoint_without_a_factorisation(monkeypatch, seed):
+    from circumsolve import circumcenter
+
+    for name in ("_geqp3", "_potrf", "_potrs"):
+        monkeypatch.setattr(circumcenter, name, _no_factorisation)
+    rng = np.random.default_rng(seed)
+    P = rng.standard_normal((2, 40)) * 10.0 ** rng.integers(-6, 7)
+    r = circumcenter_points(P)
+    assert np.array_equal(r.value, P[0] + 0.5 * (P[1] - P[0]))
+    oracle = circumcenter_oracle(P)
+    assert np.linalg.norm(r.value - oracle.value) <= 1e-12 * np.abs(P).max()
+    assert r.radius == pytest.approx(np.linalg.norm(P[1] - P[0]) / 2, rel=1e-12)
+
+
+def test_two_points_closer_than_the_noise_floor_give_the_first_point():
+    # the points differ, but by less than the rounding noise of their size:
+    # the floor is 64 * 3 * eps * |p| (about 1e-13 here)
+    c = _C / 1e6
+    P = np.array([c, c + (1e-14, 0.0, 0.0)])
+    assert not np.array_equal(P[0], P[1])
+    r = circumcenter_points(P)
+    assert np.array_equal(r.value, P[0])
+    assert r.value is not P[0]
+
+
+def test_two_tiny_points_have_a_circumcenter():
+    # the squares of the difference underflow; the midpoint is still exact
+    P = np.array([(0.0, 0.0, 0.0), (0.0, 0.0, 2.6298583924242025e-162)])
+    r = circumcenter_points(P)
+    assert np.array_equal(r.value, 0.5 * P[1])

@@ -359,3 +359,32 @@ def test_intersect_all_three_subspaces():
 def test_non_orthonormal_basis_rejected():
     with pytest.raises(ValueError):
         LinearSubspace(2, np.array([[1.0, 1.0]]))
+
+
+def test_orthonormal_basis_normalises_a_vector_whose_squares_underflow():
+    B = orthonormal_basis([(0.0, 0.0, 2.6298583924242025e-162)])
+    assert np.array_equal(B.basis, [[0.0, 0.0, 1.0]])
+
+
+def test_zero_anchor_projection_equals_the_full_formula():
+    rng = np.random.default_rng(70)
+    for dim in (0, 3, 8):
+        L = LinearSubspace.span(rng.standard_normal((dim, 8)), dim=8)
+        A = L.as_affine()
+        assert A.through_origin
+        for _ in range(5):
+            x = rng.standard_normal(8) * 10.0 ** rng.integers(-3, 4)
+            full = A.anchor + L._project(x - A.anchor)
+            assert np.array_equal(A._project(x), full)
+            assert np.array_equal(A.reflect(x), 2.0 * full - x)
+
+
+def test_a_tiny_nonzero_anchor_takes_the_full_projection():
+    # the projection onto the first two axes is exact, so the 1e-300 offset of
+    # the anchor along the third axis survives only on the full path
+    L = LinearSubspace.span([(1, 0, 0, 0), (0, 1, 0, 0)])
+    A = AffineSubspace((0.0, 0.0, 1e-300, 0.0), L)
+    assert not A.through_origin
+    x = np.array([1.5, -2.0, 3.0, 4.0])
+    assert np.array_equal(A._project(x), A.anchor + L._project(x - A.anchor))
+    assert np.array_equal(A._project(x), [1.5, -2.0, 1e-300, 0.0])

@@ -9,6 +9,7 @@ from circumsolve.linalg import (
     intersect_all,
     orthonormal_basis,
 )
+from circumsolve import solvers
 from circumsolve.operators import dr_operator, fixed_subspace, reflection_set
 from circumsolve.solvers import (
     SOLVER_KINDS,
@@ -284,12 +285,68 @@ def test_product_crm_converges_blockwise():
     assert tr.solved
 
 
-@pytest.mark.parametrize("kind", ["crm_s1", "crm_s2", "product_crm"])
+Y_IS_ONE = AffineSubspace((0.0, 1.0), XAXIS.direction)
+PAIR_ONLY_KINDS = ("crm_s3", "crm_s4", "drm", "map")
+
+
+@pytest.mark.parametrize("kind", ["crm_s1", "crm_s2", "product_crm", "crm_s3", "crm_s4", "drm"])
 def test_crm_solvers_reject_subspaces_with_no_common_point(kind):
-    # the x-axis, the line y = 1 and the y-axis meet pairwise but not all three
-    y_is_one = AffineSubspace((0.0, 1.0), XAXIS.direction)
-    with pytest.raises(ValueError, match="common fixed set is empty"):
-        make_solver(SolverSpec(kind), [XAXIS, y_is_one, YAXIS])
+    # the x-axis and the line y = 1 are parallel, so no point lies on all the sets
+    subs = [XAXIS, Y_IS_ONE] if kind in PAIR_ONLY_KINDS else [XAXIS, Y_IS_ONE, YAXIS]
+    message = "subspaces do not intersect" if kind == "drm" else "common fixed set is empty"
+    with pytest.raises(ValueError, match=message):
+        make_solver(SolverSpec(kind), subs)
+
+
+def _linear_tuple(t, n=12, seed=50):
+    rng = np.random.default_rng(seed)
+    shared = rng.standard_normal(n)
+    return [LinearSubspace.span(np.vstack([shared, rng.standard_normal((2, n))])).as_affine() for _ in range(t)]
+
+
+def _anchored(subs, seed=51):
+    z = np.random.default_rng(seed).standard_normal(subs[0].ambient_dim)
+    return [AffineSubspace(z, s.direction) for s in subs]
+
+
+@pytest.mark.parametrize("kind", SOLVER_KINDS)
+def test_make_solver_needs_no_intersection_through_the_origin(monkeypatch, kind):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the emptiness check ran on subspaces through the origin")
+
+    monkeypatch.setattr(solvers, "intersect", refuse)
+    monkeypatch.setattr(solvers, "intersect_all", refuse)
+    pair = _linear_tuple(2)
+    assert all(s.through_origin for s in pair)
+    make_solver(SolverSpec(kind), pair)
+    if kind not in PAIR_ONLY_KINDS:
+        make_solver(SolverSpec(kind), _linear_tuple(4))
+
+
+@pytest.mark.parametrize("kind", SOLVER_KINDS)
+def test_make_solver_checks_anchored_subspaces_for_a_common_point(monkeypatch, kind):
+    calls = []
+
+    def spy(real):
+        def wrapped(*args, **kwargs):
+            calls.append(real.__name__)
+            return real(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(solvers, "intersect", spy(intersect))
+    monkeypatch.setattr(solvers, "intersect_all", spy(intersect_all))
+    t = 2 if kind in PAIR_ONLY_KINDS else 4
+    subs = _anchored(_linear_tuple(t))
+    assert not any(s.through_origin for s in subs)
+    make_solver(SolverSpec(kind), subs)
+    expected = {"drm": ["intersect"], "map": [], "avg_proj": []}.get(kind, ["intersect_all"])
+    assert calls == expected
+
+
+def test_make_solver_rejects_mixed_ambient_dimensions():
+    with pytest.raises(ValueError, match="different ambient dimensions"):
+        make_solver(SolverSpec("map"), [XAXIS, LinearSubspace.span([(1, 0, 0)])])
 
 
 def test_avg_proj_converges():

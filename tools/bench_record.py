@@ -10,13 +10,16 @@ records:
   BLAS threads, CPU count, commit, line count of ``src/``);
 - the untraced and traced ``perfbench/run.py`` result of every workload in
   BENCHMARK.json, at the workloads' own seeds, whose iteration digests are
-  checked against ``perfbench/expected.json``;
-- the acceptance grid: both experiments (100 problems in R^100 each, seeds
-  1012 and 1013) through ``run_grid`` with the six grid solvers, with the
-  wall time, the iteration total and the sha256 of the sorted
-  ``problem,solver,iterations`` lines.
+  checked against ``perfbench/expected.json``.
 
-It then runs PAIRS alternating parent/change pairs of untraced runs of every
+It then times the acceptance grid: both experiments (100 problems in R^100
+each, seeds 1012 and 1013) through ``run_grid`` with the six grid solvers, in
+GRID_RUNS alternating parent/change pairs of runs.  It records every wall
+time with the median and quartiles, the iteration total and the sha256 of the
+sorted ``problem,solver,iterations`` lines; every run of one side must give
+the same total and sha256.
+
+Last, it runs PAIRS alternating parent/change pairs of untraced runs of every
 workload at SEED (the first side alternates from pair to pair)
 and reports, per end-to-end metric, each side's values, median and quartiles
 and how many pairs the change won.  Each side runs its own checkout's
@@ -41,6 +44,9 @@ import envinfo  # noqa: E402
 # others and has the ten pairs needed to show a gain.
 PAIRS = 10
 SEED = 7
+# One grid run per side cannot tell two commits apart: re-runs of the same
+# grid work spread by about a fifth on a 2-vCPU box.
+GRID_RUNS = 10
 
 GRID = r"""
 import hashlib, json, sys, time
@@ -78,16 +84,37 @@ def perfbench(root: Path, workload: str, trace: int, seed: int | None = None) ->
 
 def record(root: Path, workloads: list[str]) -> dict:
     runs = {w: {"untraced": perfbench(root, w, 0), "traced": perfbench(root, w, 1)} for w in workloads}
-    return {
-        "env": envinfo.environment(root),
-        "acceptance_grid": last_json([sys.executable, "-c", GRID, str(root / "src")], root),
-        "perfbench": runs,
-    }
+    return {"env": envinfo.environment(root), "perfbench": runs}
 
 
 def summary(values: list[float]) -> dict:
     q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": med, "q1": q1, "q3": q3, "iqr": q3 - q1}
+
+
+def compare_grid(parent: Path) -> dict:
+    runs = {"parent": [], "change": []}
+    for i in range(GRID_RUNS):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            root = parent if side == "parent" else ROOT
+            runs[side].append(last_json([sys.executable, "-c", GRID, str(root / "src")], root))
+    out = {}
+    for name in runs["parent"][0]:
+        entry = {}
+        for side, rs in runs.items():
+            counts = {(r[name]["sha256"], r[name]["iters_total"]) for r in rs}
+            if len(counts) != 1:
+                raise RuntimeError(f"{side} runs of the {name} grid disagree on the counts: {sorted(counts)}")
+            ((sha, total),) = counts
+            walls = [r[name]["run_grid_s"] for r in rs]
+            entry[side] = {"sha256": sha, "iters_total": total, "run_grid_s": walls,
+                           "run_grid_s_summary": summary(walls)}
+        p, c = entry["parent"], entry["change"]
+        entry["same_counts"] = (p["sha256"], p["iters_total"]) == (c["sha256"], c["iters_total"])
+        entry["change_wins"] = sum(b < a for a, b in zip(p["run_grid_s"], c["run_grid_s"]))
+        out[name] = entry
+    return {"runs": GRID_RUNS, "experiments": out}
 
 
 def compare(parent: Path, workloads: list[str], metrics: list[dict]) -> dict:
@@ -134,6 +161,7 @@ def main() -> int:
         "run_seconds": spec["run_seconds"],
         "parent": record(parent, workloads),
         "change": record(ROOT, workloads),
+        "acceptance_grid": compare_grid(parent),
         "pairs": {"seed": SEED, "count": PAIRS,
                   "workloads": compare(parent, workloads, spec["end_to_end"])},
     }
