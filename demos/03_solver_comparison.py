@@ -49,8 +49,8 @@ for key in ("crm-s1", "crm-s2", "crm-s3", "crm-s4", "drm", "map", "avg-proj"):
 
 print("\nthe circumcentered methods cut the count by an order of magnitude;")
 print("crm-s2 started from P_{U1} x0 additionally satisfies the cf^k bound:")
-solver = make_solver(SolverSpec("crm_s2", "project_U1"), [U1, U2])
-trace = iterate(solver.step, solver.init(x0), cfg, reference)
+solver = make_solver(SolverSpec("crm_s2"), [U1, U2])
+trace = iterate(solver.step, solver.init(U1.project(x0)), cfg, reference)
 e0 = trace.errors[0]
 for k in range(0, min(len(trace.errors), 13), 3):
     print(f"  k={k:2d}  error {trace.errors[k]:.3e}   bound {cf**k * e0:.3e}")

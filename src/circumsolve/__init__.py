@@ -5,7 +5,8 @@ by circumcentered reflection methods (CRM), the Douglas-Rachford method
 (DRM), the method of alternating projections (MAP), averaged projections,
 and a product-space CRM for three or more subspaces; plus a deterministic
 problem generator with prescribed Friedrichs angles and a Dolan-More
-performance-profile benchmark harness.
+performance-profile benchmark harness.  The theorem-checking algebra lives
+in :mod:`circumsolve.theory`, which the solver path never imports.
 """
 
 from .linalg import (
@@ -18,29 +19,11 @@ from .linalg import (
     orthogonal_complement,
     orthonormal_basis,
 )
-from .operators import (
-    AffineCombo,
-    Compose,
-    Identity,
-    IsometryOp,
-    OperatorSet,
-    OrthogonalLinear,
-    Reflector,
-    Translation,
-    apply,
-    dr_operator,
-    fixed_subspace,
-    rate_bound,
-    reflection_set,
-    surrogate_ts,
-)
 from .circumcenter import (
     CircumcenterError,
     CircumcenterResult,
-    circumcenter_map,
     circumcenter_oracle,
     circumcenter_points,
-    circumcenter_via_fixpoint,
 )
 from .solvers import (
     DivergenceError,
@@ -49,9 +32,7 @@ from .solvers import (
     SolverSpec,
     Trace,
     iterate,
-    lift_to_product,
     make_solver,
-    parallelize,
 )
 from .problems import (
     Problem,
@@ -71,6 +52,26 @@ from .bench import (
     performance_profile,
     run_benchmark,
     run_grid,
+)
+from .theory import (
+    AffineCombo,
+    Compose,
+    Identity,
+    IsometryOp,
+    OperatorSet,
+    OrthogonalLinear,
+    Reflector,
+    Translation,
+    apply,
+    circumcenter_map,
+    circumcenter_via_fixpoint,
+    dr_operator,
+    fixed_subspace,
+    lift_to_product,
+    parallelize,
+    rate_bound,
+    reflection_set,
+    surrogate_ts,
 )
 
 __version__ = "0.1.0"

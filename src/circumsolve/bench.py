@@ -25,6 +25,9 @@ MEASURE_KINDS = ("iterations", "runtime")
 
 MATRIX_COLUMNS = ("problem_id", "solver", "solved", "iterations", "runtime_ns")
 
+# A runtime cell is the fastest of this many solves.
+RUNTIME_REPEATS = 3
+
 
 @dataclass(frozen=True)
 class PerformanceCell:
@@ -48,7 +51,6 @@ def measure(
     spec: SolverSpec,
     cfg: IterationConfig,
     measure_kind: str = "iterations",
-    repeats: int = 3,
 ) -> PerformanceCell:
     """Run one solver on one problem and record the chosen measure.
 
@@ -70,7 +72,7 @@ def measure(
     runtime_ns = None
     if measure_kind == "runtime":
         walls = [trace.wall_time]
-        for _ in range(repeats - 1):
+        for _ in range(RUNTIME_REPEATS - 1):
             walls.append(iterate(solver.step, x0, cfg, problem.reference, monitor=solver.monitor).wall_time)
         runtime_ns = int(min(walls) * 1e9)
     return PerformanceCell(problem.id, spec.key, True, trace.iterations, runtime_ns)

@@ -1,11 +1,12 @@
-"""Circumcenters of finite point sets and the induced circumcenter mapping.
+"""Circumcenters of finite point sets.
 
 The circumcenter of a finite set K, when it exists, is the unique point of
 the affine hull of K equidistant from every point of K.  Two independent
 computations are provided: :func:`circumcenter_points` (Gram-system route,
 used by the solvers) and :func:`circumcenter_oracle` (direct least-squares
 solve of the equidistance conditions, used for verification).  They share no
-numerical code path.
+numerical code path.  The circumcenter mapping of an operator set lives in
+:mod:`circumsolve.theory`.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .linalg import FEAS_TOL, RANK_TOL, AffineSubspace, as_vector, orthonormal_basis
-from .operators import OperatorSet
+from .linalg import RANK_TOL
 
 DEFAULT_CC_TOL = 1e-8
 
@@ -74,23 +74,20 @@ _geqp3, _potrf, _potrs = scipy.linalg.get_lapack_funcs(("geqp3", "potrf", "potrs
 def _circumcenter(P: np.ndarray, tol: float) -> CircumcenterResult:
     """The Gram-system circumcenter of the rows of a checked, finite ``P``.
 
-    Two points are solved in closed form: their midpoint, or the first point
-    when their difference is below the noise floor.  Either way the candidate
-    goes through the same equidistance test as the general solve.
+    Two points are solved in closed form: the candidate is their midpoint,
+    which goes through the same equidistance test as the general solve.
     """
     p0 = P[0]
     D = P[1:] - p0
     if D.shape[0] == 0:
         return CircumcenterResult(p0.copy(), 0.0, 0.0)
+    if D.shape[0] == 1:
+        return _accept(p0 + 0.5 * D[0], P, tol)
 
     # differences below the rounding noise of the points themselves (about
     # n*eps*|p| for points produced by chains of reflections) are treated as
     # zero, otherwise a noise row can poison the Gram system
     noise_floor = 64.0 * P.shape[1] * _EPS * math.sqrt((P * P).sum(axis=1).max())
-    if D.shape[0] == 1:
-        d = D[0]
-        candidate = p0 + 0.5 * d if math.sqrt(d.dot(d)) > noise_floor else p0.copy()
-        return _accept(candidate, P, tol)
 
     # column-pivoted QR of the n x m difference matrix: pivot k is the
     # difference with the largest residual norm |R_kk| once the previous
@@ -127,9 +124,9 @@ def circumcenter_points(points, tol: float = DEFAULT_CC_TOL) -> CircumcenterResu
     floor)``.  With G the Gram matrix of the selected differences, the
     coefficients solve ``G alpha = (1/2) [ ||d_j||^2 ]`` by Cholesky (least
     squares when G is not numerically positive definite) and the candidate is
-    ``p_1 + sum_j alpha_j d_j``.  Two points skip the factorisations: the
-    candidate is their midpoint ``p_1 + d_1 / 2``, or ``p_1`` when ``|d_1|``
-    is below the noise floor.  The candidate is checked for equidistance
+    ``p_1 + sum_j alpha_j d_j``.  Two points skip the factorisations and the
+    noise floor: the candidate is their midpoint ``p_1 + d_1 / 2``, however
+    close the points are.  The candidate is checked for equidistance
     against all points of the set, including the ones dropped by the rank
     filter; failure returns an empty result rather than raising.
     """
@@ -165,24 +162,12 @@ def circumcenter_oracle(points, tol: float = DEFAULT_CC_TOL) -> CircumcenterResu
     return _accept(candidate, P, tol)
 
 
-def circumcenter_map(S: OperatorSet, x, tol: float = DEFAULT_CC_TOL) -> np.ndarray:
-    """Apply the circumcenter mapping induced by the operator set S.
-
-    For a set of isometries with a common fixed point the mapping is proper
-    (always point-valued), so an empty circumcenter here signals a numerical
-    failure and raises :class:`CircumcenterError` with the residual attached.
-    """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    return proper_circumcenter(S.points(x), tol)
-
-
 def proper_circumcenter(P: np.ndarray, tol: float = DEFAULT_CC_TOL) -> np.ndarray:
     """The circumcenter of the rows of ``P``, which must exist.
 
     Neither ``P`` nor ``tol`` is checked: ``P`` is the image of a checked
-    vector under an operator set and ``tol`` a checked tolerance, as in
-    :func:`circumcenter_map` and the solvers' steps.  Raises
+    vector under an operator set and ``tol`` a checked tolerance, as in the
+    solvers' steps and :func:`circumsolve.theory.circumcenter_map`.  Raises
     :class:`CircumcenterError` when no equidistant point is found.
     """
     res = _circumcenter(P, tol)
@@ -193,25 +178,3 @@ def proper_circumcenter(P: np.ndarray, tol: float = DEFAULT_CC_TOL) -> np.ndarra
             "the operator set may not consist of isometries, or tol is too tight"
         )
     return res.value
-
-
-def circumcenter_via_fixpoint(S: OperatorSet, x, W: AffineSubspace) -> np.ndarray:
-    """Circumcenter through a known subset W of the common fixed set.
-
-    Computes P_W x and projects it onto the affine hull of S(x); agrees with
-    :func:`circumcenter_map` whenever W really lies inside the common fixed
-    set, which is verified here by sampling points of W.
-    """
-    x = as_vector(x, W.ambient_dim)
-    samples = [W.anchor] + [W.anchor + b for b in W.direction.basis]
-    for op in S.ops:
-        for w in samples:
-            if np.linalg.norm(op(w) - w) > FEAS_TOL * (1.0 + np.linalg.norm(w)):
-                raise ValueError("W is not contained in the common fixed set")
-    w = W.project(x)
-    pts = S.points(x)
-    p0 = pts[0]
-    hull_dir = orthonormal_basis(pts[1:] - p0, dim=len(p0)) if len(pts) > 1 else None
-    if hull_dir is None or hull_dir.dim == 0:
-        return p0.copy()
-    return p0 + hull_dir.project(w - p0)

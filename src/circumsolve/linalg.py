@@ -70,8 +70,8 @@ class LinearSubspace:
         object.__setattr__(self, "basis", B)
 
     @classmethod
-    def span(cls, vectors, rank_tol: float = RANK_TOL, *, dim: int | None = None):
-        return orthonormal_basis(vectors, rank_tol, dim=dim)
+    def span(cls, vectors, *, dim: int | None = None):
+        return orthonormal_basis(vectors, dim=dim)
 
     @classmethod
     def zero(cls, n: int):
@@ -99,9 +99,9 @@ class LinearSubspace:
         x = as_vector(x, self.ambient_dim)
         return 2.0 * self._project(x) - x
 
-    def contains(self, x, tol: float = FEAS_TOL) -> bool:
+    def contains(self, x) -> bool:
         x = as_vector(x, self.ambient_dim)
-        return float(np.linalg.norm(x - self._project(x))) <= tol * (1.0 + np.linalg.norm(x))
+        return float(np.linalg.norm(x - self._project(x))) <= FEAS_TOL * (1.0 + np.linalg.norm(x))
 
     def same_span(self, other: "LinearSubspace", tol: float = FEAS_TOL) -> bool:
         if self.ambient_dim != other.ambient_dim or self.dim != other.dim:
@@ -113,11 +113,11 @@ class LinearSubspace:
         return AffineSubspace(np.zeros(self.ambient_dim), self)
 
 
-def orthonormal_basis(vectors, rank_tol: float = RANK_TOL, *, dim: int | None = None) -> LinearSubspace:
+def orthonormal_basis(vectors, *, dim: int | None = None) -> LinearSubspace:
     """Orthonormalize ``vectors`` into a :class:`LinearSubspace`.
 
     Modified Gram-Schmidt with one re-orthogonalization pass; a vector whose
-    residual norm is at most ``rank_tol`` times the largest input norm is
+    residual norm is at most ``RANK_TOL`` times the largest input norm is
     treated as dependent and dropped.  ``dim`` is required when ``vectors``
     is empty (the zero subspace carries no dimension information).
     """
@@ -131,8 +131,6 @@ def orthonormal_basis(vectors, rank_tol: float = RANK_TOL, *, dim: int | None = 
         if dim is None:
             raise ValueError("ambient dimension required for empty input")
         n = dim
-    if rank_tol <= 0:
-        raise ValueError("rank tolerance must be positive")
 
     scale = max((float(np.linalg.norm(v)) for v in rows), default=0.0)
     basis: list[np.ndarray] = []
@@ -142,7 +140,7 @@ def orthonormal_basis(vectors, rank_tol: float = RANK_TOL, *, dim: int | None = 
             for e in basis:
                 w -= (e @ w) * e
         norm_w = float(np.linalg.norm(w))
-        if norm_w > rank_tol * scale and norm_w > 0.0:
+        if norm_w > RANK_TOL * scale and norm_w > 0.0:
             e = w / norm_w
             if norm_w < _TINY_NORM:  # the norm underflowed; normalise again
                 e = e / np.linalg.norm(e)
@@ -208,9 +206,9 @@ class AffineSubspace:
     def reflect(self, x) -> np.ndarray:
         return self._reflect(as_vector(x, self.ambient_dim))
 
-    def contains(self, x, tol: float = FEAS_TOL) -> bool:
+    def contains(self, x) -> bool:
         x = as_vector(x, self.ambient_dim)
-        return float(np.linalg.norm(x - self._project(x))) <= tol * (1.0 + np.linalg.norm(x))
+        return float(np.linalg.norm(x - self._project(x))) <= FEAS_TOL * (1.0 + np.linalg.norm(x))
 
     def same_set(self, other: "AffineSubspace", tol: float = FEAS_TOL) -> bool:
         return (
@@ -248,7 +246,7 @@ def orthogonal_complement(L: LinearSubspace) -> LinearSubspace:
 ANGLE_SINE_TOL = 2.0 * RANK_TOL
 
 
-def intersect(a, b, tol: float = FEAS_TOL):
+def intersect(a, b):
     """Intersection of two affine (or linear) subspaces.
 
     Returns an :class:`AffineSubspace`, or ``None`` when the sets are
@@ -274,19 +272,19 @@ def intersect(a, b, tol: float = FEAS_TOL):
     c = U[:, keep] @ ((Vt[keep] @ gap) / s[keep])
     x = A.anchor + BA.T @ c
     scale = 1.0 + max(np.linalg.norm(A.anchor), np.linalg.norm(B.anchor))
-    if float(np.linalg.norm(R.T @ c - gap)) > tol * scale:
+    if float(np.linalg.norm(R.T @ c - gap)) > FEAS_TOL * scale:
         return None
     return AffineSubspace(x, LinearSubspace(n, U[:, ~keep].T @ BA))
 
 
-def intersect_all(subspaces, tol: float = FEAS_TOL):
+def intersect_all(subspaces):
     """Fold :func:`intersect` over a nonempty list; ``None`` if empty overall."""
     subs = [as_affine(s) for s in subspaces]
     if not subs:
         raise ValueError("at least one subspace required")
     acc = subs[0]
     for s in subs[1:]:
-        acc = intersect(acc, s, tol)
+        acc = intersect(acc, s)
         if acc is None:
             return None
     return acc

@@ -20,14 +20,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .circumcenter import proper_circumcenter
-from .linalg import (
-    AffineSubspace,
-    LinearSubspace,
-    as_affine,
-    as_vector,
-    intersect,
-    intersect_all,
-)
+from .linalg import as_affine, as_vector, intersect_all
 
 SOLVER_KINDS = (
     "crm_s1",
@@ -39,7 +32,6 @@ SOLVER_KINDS = (
     "avg_proj",
     "product_crm",
 )
-INIT_TRANSFORMS = ("none", "project_U1")
 
 # CLI / CSV spelling of each solver kind.
 SOLVER_KEYS = {kind.replace("_", "-"): kind for kind in SOLVER_KINDS}
@@ -89,19 +81,15 @@ class Trace:
 @dataclass(frozen=True)
 class SolverSpec:
     kind: str
-    init_transform: str = "none"
 
     def __post_init__(self):
         if self.kind not in SOLVER_KINDS:
             raise ValueError(f"unknown solver kind {self.kind!r}")
-        if self.init_transform not in INIT_TRANSFORMS:
-            raise ValueError(f"unknown init transform {self.init_transform!r}")
 
     @classmethod
-    def from_key(cls, key: str, init_transform: str = "none") -> "SolverSpec":
+    def from_key(cls, key: str) -> "SolverSpec":
         """Build a spec from the CLI/CSV solver key (e.g. ``crm-s3``)."""
-        kind = SOLVER_KEYS.get(key, key)
-        return cls(kind, init_transform)
+        return cls(SOLVER_KEYS.get(key, key))
 
     @property
     def key(self) -> str:
@@ -152,62 +140,22 @@ def iterate(step, x0, cfg: IterationConfig, reference, monitor=None) -> Trace:
     return Trace(np.array(errors), k, solved, wall, iterates)
 
 
-def lift_to_product(subspaces) -> tuple[AffineSubspace, AffineSubspace]:
-    """Product-space lift: C = U_1 x ... x U_t and the diagonal D in R^{tn}.
-
-    C's basis is block diagonal in the blocks' own bases; D is spanned by the
-    normalized all-blocks-equal coordinate directions.
-    """
-    subs = [as_affine(s) for s in subspaces]
-    n = subs[0].ambient_dim
-    t = len(subs)
-    if any(s.ambient_dim != n for s in subs):
-        raise ValueError("subspaces live in different ambient dimensions")
-    rows = []
-    for i, s in enumerate(subs):
-        for b in s.direction.basis:
-            row = np.zeros(t * n)
-            row[i * n : (i + 1) * n] = b
-            rows.append(row)
-    C_dir = LinearSubspace(t * n, np.array(rows).reshape(len(rows), t * n))
-    C = AffineSubspace(np.concatenate([s.anchor for s in subs]), C_dir)
-    diag_rows = np.zeros((n, t * n))
-    for j in range(n):
-        diag_rows[j, j::n] = 1.0 / np.sqrt(t)
-    D = AffineSubspace(np.zeros(t * n), LinearSubspace(t * n, diag_rows))
-    return C, D
-
-
-def parallelize(subspaces, z) -> list[LinearSubspace]:
-    """Directions par U_i of affine subspaces sharing the common point z.
-
-    Running a circumcentered reflection method on the returned linear
-    subspaces from ``x - z`` and adding ``z`` back reproduces the affine run
-    from ``x`` exactly.
-    """
-    subs = [as_affine(s) for s in subspaces]
-    z = as_vector(z, subs[0].ambient_dim)
-    for i, s in enumerate(subs):
-        if np.linalg.norm(s.project(z) - z) > 1e-9 * (1.0 + np.linalg.norm(z)):
-            raise ValueError(f"z is not on subspace {i}")
-    return [s.direction for s in subs]
-
-
-def make_solver(spec: SolverSpec, subspaces, cc_tol: float = 1e-8) -> Solver:
+def make_solver(spec: SolverSpec, subspaces) -> Solver:
     """Instantiate a solver for the given affine subspaces.
 
     Two subspaces are required for drm/map/crm-s3/crm-s4; crm-s1, crm-s2,
-    avg-proj and product-crm accept two or more, and the CRM methods need a
-    common point.  A CRM step takes the circumcenter of the rows of
-    :func:`~circumsolve.operators.reflection_set` at x, made from the
-    subspaces' reflections (t for s1 and s2, 3 for s3, 5 for s4).
-    ``product-crm`` is the two-set CRM {Id, R_C R_D} on Pierra's lift
-    (:func:`lift_to_product`) in closed form: P_D averages the t blocks and
-    R_C reflects block i through the i-th subspace.
+    avg-proj and product-crm accept two or more.  A CRM step takes the
+    circumcenter of the rows of :func:`~circumsolve.theory.reflection_set`
+    at x, made from the subspaces' reflections (t for s1 and s2, 3 for s3,
+    5 for s4).  ``product-crm`` is the two-set CRM {Id, R_C R_D} on Pierra's
+    lift (:func:`~circumsolve.theory.lift_to_product`) in closed form: P_D
+    averages the t blocks and R_C reflects block i through the i-th
+    subspace.
 
-    drm and the CRM kinds check that the subspaces share a point, and raise
-    ``ValueError`` when they do not.  When every anchor is exactly zero the
-    origin is such a point, so the check needs no :func:`intersect`.
+    drm and the CRM kinds need the subspaces to share a point: one
+    :func:`intersect_all` check raises ``ValueError("common fixed set is
+    empty")`` when they do not.  When every anchor is exactly zero the
+    origin is such a point, so the check is skipped.
     """
     subs = [as_affine(s) for s in subspaces]
     t = len(subs)
@@ -215,22 +163,15 @@ def make_solver(spec: SolverSpec, subspaces, cc_tol: float = 1e-8) -> Solver:
         raise ValueError(f"solver {spec.kind!r} requires exactly two subspaces")
     if t < 2:
         raise ValueError("at least two subspaces required")
-    if not cc_tol > 0:
-        raise ValueError("tolerance must be positive")
     n = subs[0].ambient_dim
     if any(s.ambient_dim != n for s in subs):
         raise ValueError("subspaces live in different ambient dimensions")
-    through_origin = all(s.through_origin for s in subs)
 
     # input is checked here, once: init checks the starting point and the
     # steps and monitors below work on the iterates without re-checking them
     U1 = subs[0]
     identity = lambda x: x
-
-    if spec.init_transform == "none":
-        init_base = lambda x0: as_vector(x0, n)
-    else:
-        init_base = U1.project
+    init = lambda x0: as_vector(x0, n)
 
     if spec.kind == "map":
         p1, p2 = U1._project, subs[1]._project
@@ -238,19 +179,7 @@ def make_solver(spec: SolverSpec, subspaces, cc_tol: float = 1e-8) -> Solver:
         def step(x):
             return p2(p1(x))
 
-        return Solver(init_base, step, identity)
-
-    if spec.kind == "drm":
-        # the arithmetic of dr_operator's AffineCombo, which accumulates
-        # 0.5 Id + 0.5 R_2 R_1 from zeros
-        if not through_origin and intersect(U1, subs[1]) is None:
-            raise ValueError("subspaces do not intersect")
-        r1, r2 = U1._reflect, subs[1]._reflect
-
-        def step(x):
-            return 0.5 * x + 0.5 * r2(r1(x))
-
-        return Solver(init_base, step, U1._project)
+        return Solver(init, step, identity)
 
     if spec.kind == "avg_proj":
         projectors = [s._project for s in subs]
@@ -261,11 +190,21 @@ def make_solver(spec: SolverSpec, subspaces, cc_tol: float = 1e-8) -> Solver:
                 acc = acc + p(x)
             return acc / t
 
-        return Solver(init_base, step, identity)
+        return Solver(init, step, identity)
 
-    if not through_origin and intersect_all(subs) is None:
+    if not all(s.through_origin for s in subs) and intersect_all(subs) is None:
         raise ValueError("common fixed set is empty")
     reflect = [s._reflect for s in subs]
+
+    if spec.kind == "drm":
+        # the arithmetic of dr_operator's AffineCombo, which accumulates
+        # 0.5 Id + 0.5 R_2 R_1 from zeros
+        r1, r2 = reflect
+
+        def step(x):
+            return 0.5 * x + 0.5 * r2(r1(x))
+
+        return Solver(init, step, U1._project)
 
     if spec.kind == "product_crm":
         def step(v):
@@ -273,9 +212,9 @@ def make_solver(spec: SolverSpec, subspaces, cc_tol: float = 1e-8) -> Solver:
             blocks = v.reshape(t, n)
             rd = 2.0 * (blocks.sum(axis=0) / t) - blocks
             rcd = np.concatenate([r(b) for r, b in zip(reflect, rd)])
-            return proper_circumcenter(np.array([v, rcd]), cc_tol)
+            return proper_circumcenter(np.array([v, rcd]))
 
-        return Solver(lambda x: np.tile(init_base(x), t), step, lambda v: v[:n])
+        return Solver(lambda x: np.tile(init(x), t), step, lambda v: v[:n])
 
     # the rows of reflection_set(kind, subs) at x, each reflection made once
     if spec.kind == "crm_s1":
@@ -299,6 +238,6 @@ def make_solver(spec: SolverSpec, subspaces, cc_tol: float = 1e-8) -> Solver:
             return [x, a, b, c, r1(b), r1(c)] if s4 else [x, a, b, c]
 
     def step(x):
-        return proper_circumcenter(np.array(images(x)), cc_tol)
+        return proper_circumcenter(np.array(images(x)))
 
-    return Solver(init_base, step, identity)
+    return Solver(init, step, identity)

@@ -1,10 +1,10 @@
-"""Isometry algebra: reflectors, translations, orthogonal maps, compositions.
+"""Theorem-checking algebra, which the solvers never import.
 
-Also hosts affine combinations of isometries, the Douglas-Rachford splitting
-operator, fixed-set computation and operator-norm rate bounds.  Operators are
-callables; ``op(x)`` evaluates them directly, while ``op.as_matrix(n)``
-produces the dense affine decomposition ``(M, b)`` with ``op(x) = M x + b``
-used for fixed sets and norms (fine at desk scale).
+Isometries and their affine combinations, the reflection families S_1..S_4,
+the Douglas-Rachford operator, fixed sets, rate bounds, the circumcenter
+mapping of an operator set and Pierra's product-space lift.  Operators are
+callables; ``op.as_matrix(n)`` gives the dense affine decomposition
+``(M, b)`` with ``op(x) = M x + b`` used for fixed sets and norms.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .circumcenter import DEFAULT_CC_TOL, proper_circumcenter
 from .linalg import (
     FEAS_TOL,
     RANK_TOL,
@@ -23,6 +24,7 @@ from .linalg import (
     as_vector,
     intersect,
     intersect_all,
+    orthonormal_basis,
 )
 
 _ORTHOGONALITY_TOL = 1e-10
@@ -234,7 +236,7 @@ def dr_operator(u, v) -> AffineCombo:
     return AffineCombo(((0.5, Identity()), (0.5, Compose((Reflector(V), Reflector(U))))))
 
 
-def fixed_subspace(op, dim: int | None = None, rank_tol: float = RANK_TOL):
+def fixed_subspace(op, dim: int | None = None):
     """Fixed-point set of an affine operator, or ``None`` when empty.
 
     Solves ``(M - I) x = -b`` for the affine decomposition of ``op``; an
@@ -251,7 +253,7 @@ def fixed_subspace(op, dim: int | None = None, rank_tol: float = RANK_TOL):
     x, *_ = np.linalg.lstsq(A, -b, rcond=None)
     if float(np.linalg.norm(A @ x + b)) > FEAS_TOL * (1.0 + np.linalg.norm(b)):
         return None
-    null = scipy.linalg.null_space(A, rcond=rank_tol)
+    null = scipy.linalg.null_space(A, rcond=RANK_TOL)
     return AffineSubspace(x, LinearSubspace(n, null.T))
 
 
@@ -289,7 +291,7 @@ def surrogate_ts(kind: str, subspaces) -> AffineCombo:
     return AffineCombo(tuple(terms))
 
 
-def rate_bound(op, fix: LinearSubspace, tol: float = FEAS_TOL) -> float:
+def rate_bound(op, fix: LinearSubspace) -> float:
     """Operator norm of ``op`` composed with the projector onto Fix^perp.
 
     ``op`` must be linear (zero offset); for an averaged linear operator
@@ -298,7 +300,7 @@ def rate_bound(op, fix: LinearSubspace, tol: float = FEAS_TOL) -> float:
     """
     n = fix.ambient_dim
     M, b = op.as_matrix(n)
-    if float(np.linalg.norm(b)) > tol:
+    if float(np.linalg.norm(b)) > FEAS_TOL:
         raise ValueError("operator must be linear (zero offset)")
     P_perp = np.eye(n) - fix.basis.T @ fix.basis
     return float(np.linalg.norm(M @ P_perp, 2))
@@ -345,3 +347,79 @@ def reflection_set(kind: str, subspaces) -> OperatorSet:
     else:
         raise ValueError(f"unknown reflection family {kind!r}")
     return OperatorSet(tuple(ops), fixed=fix)
+
+
+def circumcenter_map(S: OperatorSet, x, tol: float = DEFAULT_CC_TOL) -> np.ndarray:
+    """Apply the circumcenter mapping induced by the operator set S.
+
+    For a set of isometries with a common fixed point the mapping is proper
+    (always point-valued), so an empty circumcenter here signals a numerical
+    failure and raises :class:`~circumsolve.circumcenter.CircumcenterError`
+    with the residual attached.
+    """
+    if tol <= 0:
+        raise ValueError("tolerance must be positive")
+    return proper_circumcenter(S.points(x), tol)
+
+
+def circumcenter_via_fixpoint(S: OperatorSet, x, W: AffineSubspace) -> np.ndarray:
+    """Circumcenter through a known subset W of the common fixed set.
+
+    Computes P_W x and projects it onto the affine hull of S(x); agrees with
+    :func:`circumcenter_map` whenever W really lies inside the common fixed
+    set, which is verified here by sampling points of W.
+    """
+    x = as_vector(x, W.ambient_dim)
+    samples = [W.anchor] + [W.anchor + b for b in W.direction.basis]
+    for op in S.ops:
+        for w in samples:
+            if np.linalg.norm(op(w) - w) > FEAS_TOL * (1.0 + np.linalg.norm(w)):
+                raise ValueError("W is not contained in the common fixed set")
+    w = W.project(x)
+    pts = S.points(x)
+    p0 = pts[0]
+    hull_dir = orthonormal_basis(pts[1:] - p0, dim=len(p0)) if len(pts) > 1 else None
+    if hull_dir is None or hull_dir.dim == 0:
+        return p0.copy()
+    return p0 + hull_dir.project(w - p0)
+
+
+def lift_to_product(subspaces) -> tuple[AffineSubspace, AffineSubspace]:
+    """Product-space lift: C = U_1 x ... x U_t and the diagonal D in R^{tn}.
+
+    C's basis is block diagonal in the blocks' own bases; D is spanned by the
+    normalized all-blocks-equal coordinate directions.
+    """
+    subs = [as_affine(s) for s in subspaces]
+    n = subs[0].ambient_dim
+    t = len(subs)
+    if any(s.ambient_dim != n for s in subs):
+        raise ValueError("subspaces live in different ambient dimensions")
+    rows = []
+    for i, s in enumerate(subs):
+        for b in s.direction.basis:
+            row = np.zeros(t * n)
+            row[i * n : (i + 1) * n] = b
+            rows.append(row)
+    C_dir = LinearSubspace(t * n, np.array(rows).reshape(len(rows), t * n))
+    C = AffineSubspace(np.concatenate([s.anchor for s in subs]), C_dir)
+    diag_rows = np.zeros((n, t * n))
+    for j in range(n):
+        diag_rows[j, j::n] = 1.0 / np.sqrt(t)
+    D = AffineSubspace(np.zeros(t * n), LinearSubspace(t * n, diag_rows))
+    return C, D
+
+
+def parallelize(subspaces, z) -> list[LinearSubspace]:
+    """Directions par U_i of affine subspaces sharing the common point z.
+
+    Running a circumcentered reflection method on the returned linear
+    subspaces from ``x - z`` and adding ``z`` back reproduces the affine run
+    from ``x`` exactly.
+    """
+    subs = [as_affine(s) for s in subspaces]
+    z = as_vector(z, subs[0].ambient_dim)
+    for i, s in enumerate(subs):
+        if np.linalg.norm(s.project(z) - z) > FEAS_TOL * (1.0 + np.linalg.norm(z)):
+            raise ValueError(f"z is not on subspace {i}")
+    return [s.direction for s in subs]

@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from circumsolve.circumcenter import circumcenter_map, circumcenter_oracle, circumcenter_points
+from circumsolve.circumcenter import circumcenter_oracle, circumcenter_points
 from circumsolve.linalg import (
     LinearSubspace,
     friedrichs_cosine,
@@ -23,24 +23,26 @@ from circumsolve.linalg import (
     intersect_all,
     orthonormal_basis,
 )
-from circumsolve.operators import (
-    Compose,
-    Identity,
-    OperatorSet,
-    Reflector,
-    dr_operator,
-    fixed_subspace,
-    rate_bound,
-    reflection_set,
-    surrogate_ts,
-)
 from circumsolve.problems import (
     ProblemSpec,
     gen_subspace_pair,
     generate_problem_set,
     save_problem_set,
 )
-from circumsolve.solvers import IterationConfig, SolverSpec, iterate, lift_to_product, make_solver
+from circumsolve.solvers import IterationConfig, SolverSpec, iterate, make_solver
+from circumsolve.theory import (
+    Compose,
+    Identity,
+    OperatorSet,
+    Reflector,
+    circumcenter_map,
+    dr_operator,
+    fixed_subspace,
+    lift_to_product,
+    rate_bound,
+    reflection_set,
+    surrogate_ts,
+)
 
 GRID_SOLVERS = ("crm-s1", "crm-s2", "crm-s3", "crm-s4", "drm", "map")
 
@@ -190,8 +192,9 @@ def test_criterion_04_accelerated_dr_rate_bounds():
     for U1, U2, cf, x0 in _rate_pairs(50, 1004, 0.1, 0.99):
         inter = intersect(U1, U2)
         xbar = inter.project(x0)
-        solver = make_solver(SolverSpec("crm_s2", "project_U1"), [U1, U2])
-        trace = iterate(solver.step, solver.init(x0), IterationConfig(tol=1e-6, max_iter=200), xbar)
+        solver = make_solver(SolverSpec("crm_s2"), [U1, U2])
+        start = solver.init(U1.project(x0))
+        trace = iterate(solver.step, start, IterationConfig(tol=1e-6, max_iter=200), xbar)
         e0 = trace.errors[0]
         for k, err in enumerate(trace.errors):
             if err > cf**k * e0 * (1 + 1e-8):
@@ -199,7 +202,7 @@ def test_criterion_04_accelerated_dr_rate_bounds():
         # squared-rate branch: the set contains the doubled reflection chain
         r1, r2 = Reflector(U1), Reflector(U2)
         S = OperatorSet((Identity(), Compose((r2, r1)), Compose((r2, r1, r2, r1))), fixed=inter)
-        trace2 = iterate(lambda x: circumcenter_map(S, x), solver.init(x0),
+        trace2 = iterate(lambda x: circumcenter_map(S, x), start,
                          IterationConfig(tol=1e-6, max_iter=200), xbar)
         f0 = trace2.errors[0]
         for k, err in enumerate(trace2.errors):

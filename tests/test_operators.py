@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circumsolve.linalg import AffineSubspace, LinearSubspace, intersect
-from circumsolve.operators import (
+from circumsolve.theory import (
     AffineCombo,
     Compose,
     Identity,
@@ -11,6 +13,7 @@ from circumsolve.operators import (
     Reflector,
     Translation,
     apply,
+    circumcenter_map,
     dr_operator,
     fixed_subspace,
     rate_bound,
@@ -323,3 +326,42 @@ def test_known_dim_skips_plain_callables():
     np.testing.assert_array_equal(S.points([1.0, 2.0]), [[1.0, 2.0], [-1.0, 2.0]])
     with pytest.raises(ValueError, match="dimension mismatch"):
         S.points([1.0, 2.0, 3.0])
+
+
+# Reflection-closed lemma: if R_U S = S for a subspace U, the circumcenter c
+# of S(x) is equidistant from p and R_U p for every p in S(x), which puts c
+# in U.  R_2 S_3 = S_3 and R_1 S_4 = S_4, so one step of the S_3 mapping lands
+# in U_2 and one step of the S_4 mapping in U_1.
+def _lemma_pair(n, cf, seed, anchored):
+    spec = ProblemSpec(n=n, cf_range=(cf, min(cf + 1e-4, 1.0)), pairs=1, points_per_pair=0, seed=seed)
+    L1, L2, _ = gen_subspace_pair(spec, 0)
+    rng = np.random.default_rng(seed)
+    z = 3.0 * rng.standard_normal(n) if anchored else np.zeros(n)
+    return [AffineSubspace(z, L1), AffineSubspace(z, L2)], 10.0 * rng.standard_normal(n)
+
+
+def _relative_distance(kind, subs, x, U):
+    # distance of one circumcenter step to U, relative to |R_1 x - x| + |R_2 x - x|
+    c = circumcenter_map(reflection_set(kind, subs), x)
+    scale = sum(np.linalg.norm(s.reflect(x) - x) for s in subs)
+    return np.linalg.norm(c - U.project(c)) / scale
+
+
+@pytest.mark.parametrize("anchored", [False, True], ids=["linear", "anchored"])
+@pytest.mark.parametrize("kind, closed_under", [("s3", 1), ("s4", 0)])
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(6, 100),
+    cf=st.floats(0.0, 0.9999),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_reflection_closed_set_maps_into_the_subspace(kind, closed_under, anchored, n, cf, seed):
+    subs, x = _lemma_pair(n, cf, seed, anchored)
+    assert _relative_distance(kind, subs, x, subs[closed_under]) <= 1e-10
+
+
+@pytest.mark.parametrize("kind", ["s1", "s2"])
+def test_sets_that_are_not_reflection_closed_leave_both_subspaces(kind):
+    subs, x = _lemma_pair(10, 0.5, 2, anchored=True)
+    for U in subs:
+        assert _relative_distance(kind, subs, x, U) > 1e-3

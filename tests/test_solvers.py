@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from circumsolve.circumcenter import circumcenter_map
 from circumsolve.linalg import (
     AffineSubspace,
     LinearSubspace,
@@ -10,16 +9,22 @@ from circumsolve.linalg import (
     orthonormal_basis,
 )
 from circumsolve import solvers
-from circumsolve.operators import dr_operator, fixed_subspace, reflection_set
 from circumsolve.solvers import (
     SOLVER_KINDS,
     DivergenceError,
     IterationConfig,
     SolverSpec,
     iterate,
-    lift_to_product,
     make_solver,
+)
+from circumsolve.theory import (
+    OperatorSet,
+    circumcenter_map,
+    dr_operator,
+    fixed_subspace,
+    lift_to_product,
     parallelize,
+    reflection_set,
 )
 from circumsolve.problems import ProblemSpec, gen_subspace_pair
 
@@ -92,8 +97,8 @@ def test_drm_solver_governed_step_and_shadow():
 
 
 def test_crm_s2_with_projected_start_reaches_the_intersection():
-    s = make_solver(SolverSpec("crm_s2", "project_U1"), [XAXIS, DIAG])
-    x0 = s.init(np.array([1.0, 2.0]))
+    s = make_solver(SolverSpec("crm_s2"), [XAXIS, DIAG])
+    x0 = s.init(XAXIS.project(np.array([1.0, 2.0])))
     np.testing.assert_allclose(x0, [1.0, 0.0], atol=1e-14)
     x1 = s.step(x0)
     np.testing.assert_allclose(x1, [0.5, 0.5], atol=1e-12)
@@ -250,8 +255,6 @@ def test_three_line_chain_set_collapses_to_the_middle_reflector():
     U1, U2, U3 = XAXIS, DIAG, YAXIS
     S = reflection_set("s2", [U1, U2, U3])
     # keep only {Id, R3 R2 R1} as in the anomaly construction
-    from circumsolve.operators import OperatorSet
-
     S2 = OperatorSet((S.ops[0], S.ops[3]), fixed=S.fixed)
     rng = np.random.default_rng(39)
     for _ in range(50):
@@ -293,8 +296,7 @@ PAIR_ONLY_KINDS = ("crm_s3", "crm_s4", "drm", "map")
 def test_crm_solvers_reject_subspaces_with_no_common_point(kind):
     # the x-axis and the line y = 1 are parallel, so no point lies on all the sets
     subs = [XAXIS, Y_IS_ONE] if kind in PAIR_ONLY_KINDS else [XAXIS, Y_IS_ONE, YAXIS]
-    message = "subspaces do not intersect" if kind == "drm" else "common fixed set is empty"
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match="common fixed set is empty"):
         make_solver(SolverSpec(kind), subs)
 
 
@@ -314,7 +316,6 @@ def test_make_solver_needs_no_intersection_through_the_origin(monkeypatch, kind)
     def refuse(*args, **kwargs):
         raise AssertionError("the emptiness check ran on subspaces through the origin")
 
-    monkeypatch.setattr(solvers, "intersect", refuse)
     monkeypatch.setattr(solvers, "intersect_all", refuse)
     pair = _linear_tuple(2)
     assert all(s.through_origin for s in pair)
@@ -334,13 +335,12 @@ def test_make_solver_checks_anchored_subspaces_for_a_common_point(monkeypatch, k
 
         return wrapped
 
-    monkeypatch.setattr(solvers, "intersect", spy(intersect))
     monkeypatch.setattr(solvers, "intersect_all", spy(intersect_all))
     t = 2 if kind in PAIR_ONLY_KINDS else 4
     subs = _anchored(_linear_tuple(t))
     assert not any(s.through_origin for s in subs)
     make_solver(SolverSpec(kind), subs)
-    expected = {"drm": ["intersect"], "map": [], "avg_proj": []}.get(kind, ["intersect_all"])
+    expected = {"map": [], "avg_proj": []}.get(kind, ["intersect_all"])
     assert calls == expected
 
 

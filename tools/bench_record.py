@@ -7,7 +7,8 @@ commit to compare against (a ``git clone`` at that commit).  For each side it
 records:
 
 - the environment block of ``perfbench/envinfo.py`` (numpy/scipy versions,
-  BLAS threads, CPU count, commit, line count of ``src/``);
+  BLAS threads, CPU count, commit, line count of ``src/``), with the line
+  count of each ``src/`` module next to the total;
 - the untraced and traced ``perfbench/run.py`` result of every workload in
   BENCHMARK.json, at the workloads' own seeds, whose iteration digests are
   checked against ``perfbench/expected.json``.
@@ -82,9 +83,17 @@ def perfbench(root: Path, workload: str, trace: int, seed: int | None = None) ->
     return last_json(cmd, root)
 
 
+def module_lines(root: Path) -> dict[str, int]:
+    """Line count of each module under ``src/``, keyed by its path there."""
+    src = root / "src"
+    return {p.relative_to(src).as_posix(): len(p.read_text().splitlines()) for p in sorted(src.rglob("*.py"))}
+
+
 def record(root: Path, workloads: list[str]) -> dict:
     runs = {w: {"untraced": perfbench(root, w, 0), "traced": perfbench(root, w, 1)} for w in workloads}
-    return {"env": envinfo.environment(root), "perfbench": runs}
+    env = envinfo.environment(root)
+    env["src_module_lines"] = module_lines(root)
+    return {"env": env, "perfbench": runs}
 
 
 def summary(values: list[float]) -> dict:
