@@ -307,7 +307,7 @@ def rate_bound(op, fix: LinearSubspace) -> float:
 
 
 def reflection_set(kind: str, subspaces) -> OperatorSet:
-    """The reflection-generated operator families used by the CRM solvers.
+    """The reflection-generated operator families of the CRM solvers.
 
     For subspaces U_1 .. U_t:
 
