@@ -57,25 +57,50 @@ def _as_points(points) -> np.ndarray:
 
 def _accept(candidate: np.ndarray, P: np.ndarray, tol: float) -> CircumcenterResult:
     E = P - candidate
-    # the arithmetic of np.linalg.norm(E, axis=1) and of dists.mean(),
-    # without their argument handling
-    dists = np.sqrt((E * E).sum(axis=1))
-    radius = float(dists.sum()) / len(dists)
-    residual = float(np.abs(dists - radius).max()) if len(dists) > 1 else 0.0
-    if residual <= tol * (1.0 + radius):
+    # the distances of np.linalg.norm(E, axis=1), without its argument
+    # handling; the mean and the largest deviation are taken on the few row
+    # values in Python
+    dists = [math.sqrt(s) for s in (E * E).sum(axis=1).tolist()]
+    radius = sum(dists) / len(dists)
+    residual = max(abs(d - radius) for d in dists)
+    # max() keeps an inf that comes before a NaN, so a distance that
+    # overflowed or is NaN must be caught by the radius, which it poisons
+    if math.isfinite(radius) and residual <= tol * (1.0 + radius):
         return CircumcenterResult(candidate, radius, residual)
     return CircumcenterResult(None, radius, residual)
 
 
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 _geqp3, _potrf, _potrs = scipy.linalg.get_lapack_funcs(("geqp3", "potrf", "potrs"), dtype=np.float64)
+
+# A triangle is solved in closed form only when its Gram determinant exceeds
+# TRIANGLE_MARGIN * max(|d_1|^2, |d_2|^2)^2, i.e. when the second difference
+# keeps more than 1e-6 of its length once the first is projected out.  The
+# determinant is formed from rounded Gram entries, so its absolute error is
+# about eps * max|d|^4 (n eps * max|d|^4 at worst): at the margin that is
+# 2e-4 of the determinant (2% at worst in R^100), and R_22 / R_11 = 1e-6 is
+# far above RANK_TOL = 1e-10, where geqp3 would drop the difference.
+TRIANGLE_MARGIN = 1e-12
+
+
+def noise_floor(n: int, sq_norm: float) -> float:
+    """Rounding noise of a difference of points of R^n with |p|^2 <= sq_norm.
+
+    Points produced by chains of reflections carry about n * eps * |p| of
+    rounding, so differences below this floor are treated as zero.
+    """
+    return 64.0 * n * _EPS * math.sqrt(sq_norm)
 
 
 def _circumcenter(P: np.ndarray, tol: float) -> CircumcenterResult:
     """The Gram-system circumcenter of the rows of a checked, finite ``P``.
 
-    Two points are solved in closed form: the candidate is their midpoint,
-    which goes through the same equidistance test as the general solve.
+    Two points are solved in closed form: the candidate is their midpoint.
+    Three points are solved in closed form by Cramer's rule on the 2 x 2 Gram
+    matrix when the triangle is clearly of rank 2 (see ``TRIANGLE_MARGIN``),
+    and otherwise go through the rank-revealing QR like larger sets.  Every
+    candidate goes through the same equidistance test.
     """
     p0 = P[0]
     D = P[1:] - p0
@@ -83,18 +108,34 @@ def _circumcenter(P: np.ndarray, tol: float) -> CircumcenterResult:
         return CircumcenterResult(p0.copy(), 0.0, 0.0)
     if D.shape[0] == 1:
         return _accept(p0 + 0.5 * D[0], P, tol)
+    if D.shape[0] == 2:
+        (g11, g12), (_, g22) = (D @ D.T).tolist()
+        big = max(g11, g22)
+        det = g11 * g22 - g12 * g12
+        limit = TRIANGLE_MARGIN * (big * big)
+        # |p_i| <= |p_0| + |d_i|, so this bounds the noise floor of the QR
+        # path from above with one dot product
+        floor = noise_floor(P.shape[1], 1.0) * (math.sqrt(p0.dot(p0)) + math.sqrt(big))
+        # R_22 = sqrt(det / big) must clear twice the floor.  A limit below
+        # the normal range (differences of 1e-74 or less), an infinite one
+        # (differences of 1e77 or more), NaN entries and big = 0 all fail
+        # these comparisons and fall through to the QR path
+        if limit >= _TINY and det > limit and det > 4.0 * floor * floor * big:
+            d1, d2 = D
+            a1 = 0.5 * g22 * (g11 - g12) / det
+            a2 = 0.5 * g11 * (g22 - g12) / det
+            return _accept(p0 + a1 * d1 + a2 * d2, P, tol)
 
-    # differences below the rounding noise of the points themselves (about
-    # n*eps*|p| for points produced by chains of reflections) are treated as
-    # zero, otherwise a noise row can poison the Gram system
-    noise_floor = 64.0 * P.shape[1] * _EPS * math.sqrt((P * P).sum(axis=1).max())
+    # differences below the rounding noise of the points themselves are
+    # treated as zero, otherwise a noise row can poison the Gram system
+    floor = noise_floor(P.shape[1], (P * P).sum(axis=1).max())
 
     # column-pivoted QR of the n x m difference matrix: pivot k is the
     # difference with the largest residual norm |R_kk| once the previous
     # pivots are projected out, so |R_11| is the largest difference norm
     qr, jpvt, _, _, _ = _geqp3(D.T)
     residuals = np.abs(qr.diagonal()).tolist()
-    threshold = max(RANK_TOL * residuals[0], noise_floor)
+    threshold = max(RANK_TOL * residuals[0], floor)
     k = 0
     while k < len(residuals) and residuals[k] > threshold:
         k += 1
@@ -126,9 +167,14 @@ def circumcenter_points(points, tol: float = DEFAULT_CC_TOL) -> CircumcenterResu
     squares when G is not numerically positive definite) and the candidate is
     ``p_1 + sum_j alpha_j d_j``.  Two points skip the factorisations and the
     noise floor: the candidate is their midpoint ``p_1 + d_1 / 2``, however
-    close the points are.  The candidate is checked for equidistance
-    against all points of the set, including the ones dropped by the rank
-    filter; failure returns an empty result rather than raising.
+    close the points are.  Three points solve the 2 x 2 Gram system by
+    Cramer's rule, with no factorisation, when its determinant exceeds
+    ``TRIANGLE_MARGIN * max|d_j|^4`` and ``4 max|d_j|^2`` times the square
+    of a bound on the noise floor; otherwise they take the QR path, so the
+    rank decision is the one ``geqp3`` makes.  The candidate is checked for
+    equidistance against all points of the set, including the ones dropped
+    by the rank filter; failure, a non-finite distance included, returns an
+    empty result rather than raising.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")

@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .circumcenter import proper_circumcenter
+from .circumcenter import noise_floor, proper_circumcenter
 from .linalg import as_affine, as_vector, intersect_all
 
 SOLVER_KINDS = (
@@ -146,8 +146,12 @@ def make_solver(spec: SolverSpec, subspaces) -> Solver:
     Two subspaces are required for drm/map/crm-s3/crm-s4; crm-s1, crm-s2,
     avg-proj and product-crm accept two or more.  A CRM step takes the
     circumcenter of the rows of :func:`~circumsolve.theory.reflection_set`
-    at x, made from the subspaces' reflections (t for s1 and s2, 3 for s3,
-    5 for s4).  ``product-crm`` is the two-set CRM {Id, R_C R_D} on Pierra's
+    at x, made from the subspaces' reflections: t for s1 and s2, 3 for s3
+    and 5 for s4.  From the first step on, an s3 iterate lies in U_2 and an
+    s4 iterate in U_1, as these sets are closed under R_2 and R_1; where the
+    step finds R_2 x = x (s3) or R_1 x = x (s4) within the circumcenter
+    noise floor, it takes the three-point C-DRM set {x, R_1 x, R_2 R_1 x}
+    (s3) or {x, R_2 x, R_1 R_2 x} (s4), for 3 reflections.  ``product-crm`` is the two-set CRM {Id, R_C R_D} on Pierra's
     lift (:func:`~circumsolve.theory.lift_to_product`) in closed form: P_D
     averages the t blocks and R_C reflects block i through the i-th
     subspace.
@@ -229,13 +233,31 @@ def make_solver(spec: SolverSpec, subspaces) -> Solver:
             return rows
 
     else:
+        # S_3 = {Id, R_1, R_2, R_2 R_1} satisfies R_2 S_3 = S_3, so from the
+        # first step on the iterate lies in U_2, and S_4 likewise keeps it in
+        # U_1 (README, "reflection-closed sets").  There R_2 x = x (resp.
+        # R_1 x = x) and the set is the three-point C-DRM set.  The test is
+        # made on the rows themselves: a row within the noise floor of x is
+        # one the rank filter of the full set would drop anyway.
         r1, r2 = reflect
-        s4 = spec.kind == "crm_s4"
 
-        def images(x):
-            a = r1(x)
-            b, c = r2(x), r2(a)
-            return [x, a, b, c, r1(b), r1(c)] if s4 else [x, a, b, c]
+        def fixes(x, y):
+            d = y - x
+            return math.sqrt(d.dot(d)) <= noise_floor(n, max(x.dot(x), y.dot(y)))
+
+        if spec.kind == "crm_s3":
+            def images(x):
+                a, b = r1(x), r2(x)
+                c = r2(a)
+                return [x, a, c] if fixes(x, b) else [x, a, b, c]
+
+        else:
+            def images(x):
+                a, b = r1(x), r2(x)
+                if fixes(x, a):
+                    return [x, b, r1(b)]
+                c = r2(a)
+                return [x, a, b, c, r1(b), r1(c)]
 
     def step(x):
         return proper_circumcenter(np.array(images(x)))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -425,7 +427,7 @@ def test_gram_route_falls_back_to_least_squares(monkeypatch):
 
 
 def _no_factorisation(*args, **kwargs):
-    raise AssertionError("a two-point circumcenter ran a factorisation")
+    raise AssertionError("a closed-form circumcenter ran a factorisation")
 
 
 @pytest.mark.parametrize("seed", [60, 61, 62])
@@ -469,3 +471,124 @@ def test_two_tiny_points_have_a_circumcenter():
     P = np.array([(0.0, 0.0, 0.0), (0.0, 0.0, 2.6298583924242025e-162)])
     r = circumcenter_points(P)
     assert np.array_equal(r.value, 0.5 * P[1])
+
+
+def _spy_on_qr(monkeypatch):
+    from circumsolve import circumcenter
+
+    calls = []
+    geqp3 = circumcenter._geqp3
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return geqp3(*args, **kwargs)
+
+    monkeypatch.setattr(circumcenter, "_geqp3", counting)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [63, 64, 65])
+def test_triangle_circumcenter_is_solved_without_a_factorisation(monkeypatch, seed):
+    from circumsolve import circumcenter
+
+    for name in ("_geqp3", "_potrf", "_potrs"):
+        monkeypatch.setattr(circumcenter, name, _no_factorisation)
+    rng = np.random.default_rng(seed)
+    P = rng.standard_normal((3, 100)) * 10.0 ** rng.integers(-6, 7)
+    r = circumcenter_points(P)
+    oracle = circumcenter_oracle(P)
+    assert np.linalg.norm(r.value - oracle.value) <= 1e-12 * (np.abs(P).max() + oracle.radius)
+    dists = np.linalg.norm(P - r.value, axis=1)
+    assert np.ptp(dists) <= 1e-12 * r.radius
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(2, 100),
+    exponent=st.integers(-100, 100),
+    flatness=st.floats(-12.0, 0.0),
+    apex=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_triangles_agree_with_the_oracle(n, exponent, flatness, apex, seed):
+    # the angle at p_0 has sin^2 = 10^flatness, and the sides lengths in
+    # [0.5, 2], so det / max|d|^4 >= sin^2 / 16 runs from 1 down past
+    # TRIANGLE_MARGIN into the QR fallback; p_0 is the apex of a sliver or
+    # lies between the other two points, whose circumcenter is then far away
+    rng = np.random.default_rng(seed)
+    u, w = np.linalg.qr(rng.standard_normal((n, 2)))[0].T
+    sin2 = 10.0**flatness
+    a, b = rng.uniform(0.5, 2.0, 2)
+    direction = math.sqrt(1.0 - sin2) * (u if apex else -u) + math.sqrt(sin2) * w
+    p0 = rng.standard_normal(n) * rng.uniform(0.0, 10.0)
+    P = np.array([p0, p0 + a * u, p0 + b * direction]) * 10.0**exponent
+    r, o = circumcenter_points(P), circumcenter_oracle(P)
+    # the Gram system's condition grows like 1 / sin^2, and so does the
+    # error of both Gram routes, the closed form and the QR path alike (at
+    # most 2.3e-15 / sin^2 relative on 6,000 random triangles).  Once that
+    # error passes the acceptance tolerance, whether a candidate passes is a
+    # matter of rounding, so only better-conditioned triangles must agree on
+    # existence
+    if sin2 >= 1e-6:
+        assert (r.value is None) == (o.value is None)
+    if r.value is None or o.value is None:
+        return
+    bound = max(1e-10, 1e-14 / sin2) * (np.abs(P).max() + o.radius)
+    assert np.linalg.norm(r.value - o.value) <= bound
+
+
+@pytest.mark.parametrize(
+    "points, center",
+    [
+        # R_22 / R_11 = 1e-7: rank 2 for geqp3, but inside TRIANGLE_MARGIN
+        ([(0, 0, 0), (1, 0, 0), (1, 1e-7, 0)], (0.5, 5e-8, 0)),
+        # R_22 / R_11 = 1e-11 is below RANK_TOL: rank 1, collinear, no centre
+        ([(0, 0, 0), (1, 0, 0), (2, 1e-11, 0)], None),
+        # sides of 1e-9 below the noise floor of points of norm 2.3e6: rank 0,
+        # and the first point passes the equidistance test
+        ([_C, _C + (1e-9, 0, 0), _C + (0, 1e-9, 0)], _C),
+    ],
+    ids=["inside-margin", "below-rank-tol", "below-noise-floor"],
+)
+def test_a_triangle_inside_the_margin_takes_the_qr_path(monkeypatch, points, center):
+    calls = _spy_on_qr(monkeypatch)
+    r = circumcenter_points(np.array(points, dtype=float))
+    assert calls
+    if center is None:
+        assert r.value is None
+    else:
+        assert np.linalg.norm(r.value - np.asarray(center, dtype=float)) <= 1e-8
+
+
+def test_a_triangle_whose_squares_overflow_never_gives_a_wrong_centre():
+    s = 1e160
+    P = np.array([(0.0, 0.0, 0.0), (2.0, 0.0, 0.0), (0.0, 2.0, 0.0)]) * s
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = circumcenter_points(P)
+    assert r.value is None or np.linalg.norm(r.value / s - (1.0, 1.0, 0.0)) <= 1e-12
+
+
+def test_a_tiny_triangle_has_its_centre():
+    s = 1e-160
+    P = np.array([(0.0, 0.0, 0.0), (2.0, 0.0, 0.0), (0.0, 2.0, 0.0)]) * s
+    r = circumcenter_points(P)
+    assert np.linalg.norm(r.value / s - (1.0, 1.0, 0.0)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        [(0.0, 0.0), (2.0, 0.0), (np.nan, 0.0)],
+        [(0.0, 0.0), (1e200, 0.0), (np.nan, 0.0)],
+        # distances 0, inf, inf: the residual max(inf, nan, nan) is inf, which
+        # an inf tolerance would pass
+        [(0.0, 0.0), (1e200, 0.0), (1e200, 0.0)],
+    ],
+    ids=["nan-row", "inf-then-nan", "overflowed-rows"],
+)
+def test_a_non_finite_distance_rejects_the_candidate(points):
+    from circumsolve.circumcenter import _accept
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = _accept(np.zeros(2), np.array(points), 1e-8)
+    assert r.value is None

@@ -8,7 +8,7 @@ from circumsolve.linalg import (
     intersect_all,
     orthonormal_basis,
 )
-from circumsolve import solvers
+from circumsolve import circumcenter, solvers
 from circumsolve.solvers import (
     SOLVER_KINDS,
     DivergenceError,
@@ -357,3 +357,71 @@ def test_avg_proj_converges():
     s = make_solver(SolverSpec("avg_proj"), subs)
     tr = iterate(s.step, s.init(x0), IterationConfig(tol=1e-8, max_iter=10**6), ref)
     assert tr.solved
+
+
+# Reflection-closed reduction: from the first step on, a crm-s3 iterate lies
+# in U_2 and a crm-s4 iterate in U_1, where the step is the three-point C-DRM
+# step of crm-s2 (on (U_1, U_2) for s3, on (U_2, U_1) for s4), solved in
+# closed form without the rank-revealing QR of larger sets.
+def _refuse_qr(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a reduced step ran the rank-revealing QR")
+
+    monkeypatch.setattr(circumcenter, "_geqp3", refuse)
+
+
+def _reduction_pair(anchored, seed=52, n=30):
+    spec = ProblemSpec(n=n, cf_range=(0.6, 0.95), pairs=1, points_per_pair=0, seed=seed)
+    L1, L2, _ = gen_subspace_pair(spec, 0)
+    rng = np.random.default_rng(seed)
+    z = 3.0 * rng.standard_normal(n) if anchored else np.zeros(n)
+    return AffineSubspace(z, L1), AffineSubspace(z, L2), 10.0 * rng.standard_normal(n)
+
+
+@pytest.mark.parametrize("anchored", [False, True], ids=["linear", "anchored"])
+def test_crm_s3_steps_in_u2_are_crm_s2_steps(monkeypatch, anchored):
+    U1, U2, x = _reduction_pair(anchored)
+    s3 = make_solver(SolverSpec("crm_s3"), [U1, U2]).step
+    s2 = make_solver(SolverSpec("crm_s2"), [U1, U2]).step
+    x = s3(x)
+    _refuse_qr(monkeypatch)
+    for _ in range(20):
+        nxt = s3(x)
+        assert np.array_equal(nxt, s2(x))
+        x = nxt
+
+
+@pytest.mark.parametrize("anchored", [False, True], ids=["linear", "anchored"])
+@pytest.mark.parametrize("start", ["one-step", "projected"])
+def test_crm_s4_steps_in_u1_are_reversed_crm_s2_steps(monkeypatch, anchored, start):
+    U1, U2, x = _reduction_pair(anchored)
+    s4 = make_solver(SolverSpec("crm_s4"), [U1, U2]).step
+    s2 = make_solver(SolverSpec("crm_s2"), [U2, U1]).step
+    x = s4(x) if start == "one-step" else U1.project(x)
+    _refuse_qr(monkeypatch)
+    for _ in range(20):
+        nxt = s4(x)
+        assert np.array_equal(nxt, s2(x))
+        x = nxt
+
+
+@pytest.mark.parametrize("anchored", [False, True], ids=["linear", "anchored"])
+@pytest.mark.parametrize("kind, generic", [("crm_s3", 3), ("crm_s4", 5)])
+def test_a_step_in_the_closing_subspace_makes_three_reflections(monkeypatch, anchored, kind, generic):
+    calls = []
+    reflect = AffineSubspace._reflect
+
+    def counting(self, x):
+        calls.append(1)
+        return reflect(self, x)
+
+    monkeypatch.setattr(AffineSubspace, "_reflect", counting)
+    U1, U2, x0 = _reduction_pair(anchored)
+    s = make_solver(SolverSpec(kind), [U1, U2])
+    x1 = s.step(x0)
+    calls.clear()
+    s.step(x1)
+    assert len(calls) == 3
+    calls.clear()
+    s.step(x0)
+    assert len(calls) == generic

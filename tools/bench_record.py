@@ -11,7 +11,12 @@ records:
   count of each ``src/`` module next to the total;
 - the untraced and traced ``perfbench/run.py`` result of every workload in
   BENCHMARK.json, at the workloads' own seeds, whose iteration digests are
-  checked against ``perfbench/expected.json``.
+  checked against ``perfbench/expected.json``;
+- a runtime profile, for the report only: ``run_grid`` with the runtime
+  measure on 20 high-cF problems in R^100 (10 pairs x 2 points, seed 1012)
+  with the six pair solvers, and each solver's Dolan-More share at tau = 1
+  and tau = 2 (the fraction of problems it solves within tau times the
+  fastest solver's time) with its total time.
 
 It then times the acceptance grid: both experiments (100 problems in R^100
 each, seeds 1012 and 1013) through ``run_grid`` with the six grid solvers, in
@@ -69,6 +74,26 @@ print(json.dumps(out))
 """
 
 
+PROFILE = r"""
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from circumsolve import IterationConfig, ProblemSpec, generate_problem_set, performance_profile, run_grid
+keys = ["crm-s1", "crm-s2", "crm-s3", "crm-s4", "drm", "map"]
+spec = ProblemSpec(n=100, cf_range=(0.90, 0.95), pairs=10, points_per_pair=2, seed=1012)
+problems = generate_problem_set(spec).problems()
+cells = run_grid(problems, keys, IterationConfig(tol=1e-6), measure_kind="runtime")
+out = {"problems": len(problems), "solvers": {}}
+for curve in performance_profile(cells, keys, "runtime"):
+    mine = [c for c in cells if c.solver_key == curve.solver_key]
+    share = lambda tau: max((rho for t, rho in curve.breakpoints if t <= tau), default=0.0)
+    out["solvers"][curve.solver_key] = {
+        "rho_tau1": share(1.0), "rho_tau2": share(2.0), "solved": sum(c.solved for c in mine),
+        "runtime_ms_total": sum(c.runtime_ns or 0 for c in mine) / 1e6,
+    }
+print(json.dumps(out))
+"""
+
+
 def last_json(cmd, cwd: Path) -> dict:
     proc = subprocess.run(cmd, cwd=cwd, capture_output=True, text=True)
     if proc.returncode != 0:
@@ -93,7 +118,8 @@ def record(root: Path, workloads: list[str]) -> dict:
     runs = {w: {"untraced": perfbench(root, w, 0), "traced": perfbench(root, w, 1)} for w in workloads}
     env = envinfo.environment(root)
     env["src_module_lines"] = module_lines(root)
-    return {"env": env, "perfbench": runs}
+    profile = last_json([sys.executable, "-c", PROFILE, str(root / "src")], root)
+    return {"env": env, "perfbench": runs, "runtime_profile": profile}
 
 
 def summary(values: list[float]) -> dict:
