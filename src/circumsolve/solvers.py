@@ -151,8 +151,9 @@ def make_solver(spec: SolverSpec, subspaces) -> Solver:
     s4 iterate in U_1, as these sets are closed under R_2 and R_1; where the
     step finds R_2 x = x (s3) or R_1 x = x (s4) within the circumcenter
     noise floor, it takes the three-point C-DRM set {x, R_1 x, R_2 R_1 x}
-    (s3) or {x, R_2 x, R_1 R_2 x} (s4), for 3 reflections.  ``product-crm`` is the two-set CRM {Id, R_C R_D} on Pierra's
-    lift (:func:`~circumsolve.theory.lift_to_product`) in closed form: P_D
+    (s3) or {x, R_2 x, R_1 R_2 x} (s4), for 3 reflections.  ``product-crm``
+    is the two-set CRM {Id, R_C R_D} on Pierra's lift
+    (:func:`~circumsolve.theory.lift_to_product`) in closed form: P_D
     averages the t blocks and R_C reflects block i through the i-th
     subspace.
 
@@ -233,12 +234,8 @@ def make_solver(spec: SolverSpec, subspaces) -> Solver:
             return rows
 
     else:
-        # S_3 = {Id, R_1, R_2, R_2 R_1} satisfies R_2 S_3 = S_3, so from the
-        # first step on the iterate lies in U_2, and S_4 likewise keeps it in
-        # U_1 (README, "reflection-closed sets").  There R_2 x = x (resp.
-        # R_1 x = x) and the set is the three-point C-DRM set.  The test is
-        # made on the rows themselves: a row within the noise floor of x is
-        # one the rank filter of the full set would drop anyway.
+        # the reduction of the docstring; a row within the noise floor of x
+        # is one the rank filter of the full set would drop anyway
         r1, r2 = reflect
 
         def fixes(x, y):

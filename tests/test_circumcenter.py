@@ -473,20 +473,6 @@ def test_two_tiny_points_have_a_circumcenter():
     assert np.array_equal(r.value, 0.5 * P[1])
 
 
-def _spy_on_qr(monkeypatch):
-    from circumsolve import circumcenter
-
-    calls = []
-    geqp3 = circumcenter._geqp3
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return geqp3(*args, **kwargs)
-
-    monkeypatch.setattr(circumcenter, "_geqp3", counting)
-    return calls
-
-
 @pytest.mark.parametrize("seed", [63, 64, 65])
 def test_triangle_circumcenter_is_solved_without_a_factorisation(monkeypatch, seed):
     from circumsolve import circumcenter
@@ -551,7 +537,16 @@ def test_triangles_agree_with_the_oracle(n, exponent, flatness, apex, seed):
     ids=["inside-margin", "below-rank-tol", "below-noise-floor"],
 )
 def test_a_triangle_inside_the_margin_takes_the_qr_path(monkeypatch, points, center):
-    calls = _spy_on_qr(monkeypatch)
+    from circumsolve import circumcenter
+
+    calls = []
+    geqp3 = circumcenter._geqp3
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return geqp3(*args, **kwargs)
+
+    monkeypatch.setattr(circumcenter, "_geqp3", counting)
     r = circumcenter_points(np.array(points, dtype=float))
     assert calls
     if center is None:
