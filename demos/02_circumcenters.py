@@ -37,6 +37,19 @@ for _ in range(200):
         worst = max(worst, float(np.linalg.norm(a.value - b.value)))
 print(f"largest disagreement between the two routes on 200 random sets: {worst:.2e}")
 
+# A nearly collinear triangle has a far-away centre.  The solve works on the
+# triangular factor of the QR that picks the rank, so its error relative to
+# the centre grows as eps / sin of the flat angle, not eps / sin^2 as with
+# the Gram matrix.
+for h in (1e-6, 1e-8):
+    flat = [(0, 0, 0), (1, 0, 0), (2, h, 0)]
+    exact = np.array([0.5, (2 + h * h) / (2 * h), 0.0])
+    print(f"h = {h:.0e}: exact centre (0.5, {exact[1]:.10g}), eps / sin = {np.finfo(float).eps * 2 / h:.1e}")
+    for name, route in (("points", circumcenter_points), ("oracle", circumcenter_oracle)):
+        c = route(flat).value
+        error = float(np.linalg.norm(c - exact) / np.linalg.norm(exact))
+        print(f"    {name}: centre ({c[0]:.10g}, {c[1]:.10g}), relative error {error:.1e}")
+
 # ---------------------------------------------------------------------------
 # Reflecting a point through two lines and taking the circumcenter of all
 # the images pulls the point toward the intersection in one step: that is

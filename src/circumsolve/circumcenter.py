@@ -72,16 +72,13 @@ def _accept(candidate: np.ndarray, P: np.ndarray, tol: float) -> CircumcenterRes
 
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
-_geqp3, _potrf, _potrs = scipy.linalg.get_lapack_funcs(("geqp3", "potrf", "potrs"), dtype=np.float64)
+_geqp3, _trtrs = scipy.linalg.get_lapack_funcs(("geqp3", "trtrs"), dtype=np.float64)
 
 # A triangle is solved in closed form only when its Gram determinant exceeds
-# TRIANGLE_MARGIN * max(|d_1|^2, |d_2|^2)^2, i.e. when the second difference
-# keeps more than 1e-6 of its length once the first is projected out.  The
-# determinant is formed from rounded Gram entries, so its absolute error is
-# about eps * max|d|^4 (n eps * max|d|^4 at worst): at the margin that is
-# 2e-4 of the determinant (2% at worst in R^100), and R_22 / R_11 = 1e-6 is
-# far above RANK_TOL = 1e-10, where geqp3 would drop the difference.
-TRIANGLE_MARGIN = 1e-12
+# TRIANGLE_MARGIN * max(|d_1|^2, |d_2|^2)^2, i.e. when sin^2 of its angle at
+# p_1 is above about 1e-6.  Cramer's rule errs by about eps / sin^2 and the
+# solve on R by about eps / sin, so flatter triangles take the QR path.
+TRIANGLE_MARGIN = 1e-6
 
 
 def noise_floor(n: int, sq_norm: float) -> float:
@@ -96,11 +93,10 @@ def noise_floor(n: int, sq_norm: float) -> float:
 def _circumcenter(P: np.ndarray, tol: float) -> CircumcenterResult:
     """The Gram-system circumcenter of the rows of a checked, finite ``P``.
 
-    Two points are solved in closed form: the candidate is their midpoint.
-    Three points are solved in closed form by Cramer's rule on the 2 x 2 Gram
-    matrix when the triangle is clearly of rank 2 (see ``TRIANGLE_MARGIN``),
-    and otherwise go through the rank-revealing QR like larger sets.  Every
-    candidate goes through the same equidistance test.
+    Two points give their midpoint, a clearly non-flat triangle (see
+    ``TRIANGLE_MARGIN``) Cramer's rule; everything else is solved on the R
+    factor of the rank-revealing QR.  Every candidate takes the same
+    equidistance test.
     """
     p0 = P[0]
     D = P[1:] - p0
@@ -143,38 +139,31 @@ def _circumcenter(P: np.ndarray, tol: float) -> CircumcenterResult:
     if k == 0:
         candidate = p0.copy()
     else:
-        Dc = D.take(jpvt[:k] - 1, axis=0)
-        G = Dc @ Dc.T
-        rhs = 0.5 * np.einsum("ij,ij->i", Dc, Dc)
-        c, info = _potrf(G, lower=0, clean=0)
-        if info == 0:
-            alpha, _ = _potrs(c, rhs, lower=0)
-        else:  # G is not numerically positive definite
-            alpha, *_ = np.linalg.lstsq(G, rhs, rcond=None)
-        candidate = p0 + alpha @ Dc
+        # G = Dc Dc^T = R^T R on the kept k x k block of the factor, so two
+        # triangular solves give the coefficients; dividing both by
+        # s = |R_11| keeps every square in range and scales the right-hand
+        # side |d_j|^2 by 1 / s^2, which the candidate undoes
+        s = residuals[0]
+        Dc = D.take(jpvt[:k] - 1, axis=0) / s
+        R = qr[:k, :k] / s
+        y, _ = _trtrs(R, np.einsum("ij,ij->i", Dc, Dc), trans=1)
+        beta, _ = _trtrs(R, y)
+        candidate = p0 + (beta @ Dc) * (0.5 * s)
     return _accept(candidate, P, tol)
 
 
 def circumcenter_points(points, tol: float = DEFAULT_CC_TOL) -> CircumcenterResult:
     """Circumcenter of a finite point set via the Gram-matrix formula.
 
-    A maximal independent subset of the difference vectors ``p_i - p_1`` is
-    selected by column-pivoted Householder QR (LAPACK ``geqp3``, Businger &
-    Golub 1965: pivot on the largest residual norm); the leading pivots count
-    while their residual norms exceed ``max(RANK_TOL * max|d_j|, noise
-    floor)``.  With G the Gram matrix of the selected differences, the
-    coefficients solve ``G alpha = (1/2) [ ||d_j||^2 ]`` by Cholesky (least
-    squares when G is not numerically positive definite) and the candidate is
-    ``p_1 + sum_j alpha_j d_j``.  Two points skip the factorisations and the
-    noise floor: the candidate is their midpoint ``p_1 + d_1 / 2``, however
-    close the points are.  Three points solve the 2 x 2 Gram system by
-    Cramer's rule, with no factorisation, when its determinant exceeds
-    ``TRIANGLE_MARGIN * max|d_j|^4`` and ``4 max|d_j|^2`` times the square
-    of a bound on the noise floor; otherwise they take the QR path, so the
-    rank decision is the one ``geqp3`` makes.  The candidate is checked for
-    equidistance against all points of the set, including the ones dropped
-    by the rank filter; failure, a non-finite distance included, returns an
-    empty result rather than raising.
+    Column-pivoted QR of the differences ``d_j = p_j - p_1`` (LAPACK
+    ``geqp3``, Businger & Golub 1965) keeps the leading pivots whose
+    residual norms exceed ``max(RANK_TOL * max|d_j|, noise floor)``.  The
+    Gram system ``G alpha = (1/2) [ ||d_j||^2 ]`` of the kept differences is
+    solved as ``R^T R alpha`` by two triangular solves on the factor, scaled
+    by ``|R_11|``, and the candidate is ``p_1 + sum_j alpha_j d_j``.  Two
+    points give their midpoint and a clearly non-flat triangle Cramer's
+    rule, with no factorisation.  A candidate that is not equidistant from
+    all the points, a non-finite distance included, gives an empty result.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")

@@ -19,6 +19,7 @@ from circumsolve.theory import (
     reflection_set,
 )
 
+EPS = float(np.finfo(float).eps)
 XAXIS = LinearSubspace.span([(1, 0)]).as_affine()
 DIAG = LinearSubspace.span([(1, 1)]).as_affine()
 
@@ -408,9 +409,9 @@ def test_gram_route_matches_the_oracle_on_degenerate_sets(points, center):
     assert np.linalg.norm(a.value - np.asarray(center, dtype=float)) <= 1e-8 * scale
 
 
-def test_gram_route_falls_back_to_least_squares(monkeypatch):
+def test_a_singular_gram_matrix_needs_no_least_squares(monkeypatch):
     # both differences pass the rank filter, but 1 + 1e-18 rounds to 1, so the
-    # Gram matrix is singular in floating point and Cholesky fails
+    # Gram matrix is singular in floating point; the solve on R never forms it
     calls = []
     lstsq = np.linalg.lstsq
 
@@ -421,7 +422,7 @@ def test_gram_route_falls_back_to_least_squares(monkeypatch):
     monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
     P = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1e-9)])
     r = circumcenter_points(P)
-    assert calls
+    assert not calls
     assert r.value is not None
     np.testing.assert_allclose(r.value, [0.5, 5e-10], atol=1e-9)
 
@@ -434,7 +435,7 @@ def _no_factorisation(*args, **kwargs):
 def test_two_point_circumcenter_is_the_midpoint_without_a_factorisation(monkeypatch, seed):
     from circumsolve import circumcenter
 
-    for name in ("_geqp3", "_potrf", "_potrs"):
+    for name in ("_geqp3", "_trtrs"):
         monkeypatch.setattr(circumcenter, name, _no_factorisation)
     rng = np.random.default_rng(seed)
     P = rng.standard_normal((2, 40)) * 10.0 ** rng.integers(-6, 7)
@@ -477,7 +478,7 @@ def test_two_tiny_points_have_a_circumcenter():
 def test_triangle_circumcenter_is_solved_without_a_factorisation(monkeypatch, seed):
     from circumsolve import circumcenter
 
-    for name in ("_geqp3", "_potrf", "_potrs"):
+    for name in ("_geqp3", "_trtrs"):
         monkeypatch.setattr(circumcenter, name, _no_factorisation)
     rng = np.random.default_rng(seed)
     P = rng.standard_normal((3, 100)) * 10.0 ** rng.integers(-6, 7)
@@ -499,7 +500,7 @@ def test_triangle_circumcenter_is_solved_without_a_factorisation(monkeypatch, se
 def test_triangles_agree_with_the_oracle(n, exponent, flatness, apex, seed):
     # the angle at p_0 has sin^2 = 10^flatness, and the sides lengths in
     # [0.5, 2], so det / max|d|^4 >= sin^2 / 16 runs from 1 down past
-    # TRIANGLE_MARGIN into the QR fallback; p_0 is the apex of a sliver or
+    # TRIANGLE_MARGIN into the QR path; p_0 is the apex of a sliver or
     # lies between the other two points, whose circumcenter is then far away
     rng = np.random.default_rng(seed)
     u, w = np.linalg.qr(rng.standard_normal((n, 2)))[0].T
@@ -509,24 +510,64 @@ def test_triangles_agree_with_the_oracle(n, exponent, flatness, apex, seed):
     p0 = rng.standard_normal(n) * rng.uniform(0.0, 10.0)
     P = np.array([p0, p0 + a * u, p0 + b * direction]) * 10.0**exponent
     r, o = circumcenter_points(P), circumcenter_oracle(P)
-    # the Gram system's condition grows like 1 / sin^2, and so does the
-    # error of both Gram routes, the closed form and the QR path alike (at
-    # most 2.3e-15 / sin^2 relative on 6,000 random triangles).  Once that
-    # error passes the acceptance tolerance, whether a candidate passes is a
-    # matter of rounding, so only better-conditioned triangles must agree on
-    # existence
-    if sin2 >= 1e-6:
-        assert (r.value is None) == (o.value is None)
-    if r.value is None or o.value is None:
+    # Cramer's rule errs by at most 2.3e-15 / sin^2 relative (20,000 random
+    # triangles); it runs only where det / max|d|^4 > 1e-6, so sin^2 >= 1e-6.
+    # Flatter triangles take the solve on R, which errs by at most 6 eps / sin
+    assert (r.value is None) == (o.value is None)
+    if r.value is None:
         return
-    bound = max(1e-10, 1e-14 / sin2) * (np.abs(P).max() + o.radius)
+    law = 1e-14 / sin2 if sin2 >= 1e-6 else 100 * EPS / math.sqrt(sin2)
+    bound = max(1e-10, law) * (np.abs(P).max() + o.radius)
+    assert np.linalg.norm(r.value - o.value) <= bound
+
+
+@pytest.mark.parametrize("h", [1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9])
+def test_a_near_collinear_triangle_has_its_centre(h):
+    # the centre of (0,0,0), (1,0,0), (2,h,0) is (1/2, (2 + h^2) / (2h), 0);
+    # the Gram system squares the condition 1 / sin of the angle at p_0, and
+    # solving it lost the centre from h = 1e-8 on
+    P = np.array([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (2.0, h, 0.0)])
+    center = np.array([0.5, (2.0 + h * h) / (2.0 * h), 0.0])
+    r = circumcenter_points(P)
+    assert r.value is not None
+    sin = h / math.hypot(2.0, h)
+    bound = 100 * EPS / sin * (np.abs(P).max() + np.linalg.norm(center))
+    assert np.linalg.norm(r.value - center) <= bound
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(3, 60),
+    flatness=st.floats(-16.0, 0.0),
+    apex=st.booleans(),
+    duplicate=st.integers(0, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rank_two_sets_agree_with_the_oracle_to_eps_over_sin(n, flatness, apex, duplicate, seed):
+    # three points with sin^2 = 10^flatness at p_0 and a duplicated fourth,
+    # which sends the set through the QR path at every flatness
+    rng = np.random.default_rng(seed)
+    u, w = np.linalg.qr(rng.standard_normal((n, 2)))[0].T
+    sin2 = 10.0**flatness
+    a, b = rng.uniform(0.5, 2.0, 2)
+    direction = math.sqrt(1.0 - sin2) * (u if apex else -u) + math.sqrt(sin2) * w
+    p0 = rng.standard_normal(n) * rng.uniform(0.0, 10.0)
+    P = np.array([p0, p0 + a * u, p0 + b * direction])
+    P = np.vstack([P, P[duplicate]])
+    r, o = circumcenter_points(P), circumcenter_oracle(P)
+    if o.value is None:
+        return
+    assert r.value is not None
+    bound = 100 * EPS / math.sqrt(sin2) * (np.abs(P).max() + o.radius)
     assert np.linalg.norm(r.value - o.value) <= bound
 
 
 @pytest.mark.parametrize(
     "points, center",
     [
-        # R_22 / R_11 = 1e-7: rank 2 for geqp3, but inside TRIANGLE_MARGIN
+        # R_22 / R_11 = 1e-4: sin^2 = 1e-8 is inside TRIANGLE_MARGIN
+        ([(0, 0, 0), (1, 0, 0), (1, 1e-4, 0)], (0.5, 5e-5, 0)),
+        # R_22 / R_11 = 1e-7: rank 2 for geqp3, far inside the margin
         ([(0, 0, 0), (1, 0, 0), (1, 1e-7, 0)], (0.5, 5e-8, 0)),
         # R_22 / R_11 = 1e-11 is below RANK_TOL: rank 1, collinear, no centre
         ([(0, 0, 0), (1, 0, 0), (2, 1e-11, 0)], None),
@@ -534,7 +575,7 @@ def test_triangles_agree_with_the_oracle(n, exponent, flatness, apex, seed):
         # and the first point passes the equidistance test
         ([_C, _C + (1e-9, 0, 0), _C + (0, 1e-9, 0)], _C),
     ],
-    ids=["inside-margin", "below-rank-tol", "below-noise-floor"],
+    ids=["inside-margin", "far-inside-margin", "below-rank-tol", "below-noise-floor"],
 )
 def test_a_triangle_inside_the_margin_takes_the_qr_path(monkeypatch, points, center):
     from circumsolve import circumcenter

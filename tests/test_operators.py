@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from circumsolve.linalg import AffineSubspace, LinearSubspace, intersect
+from circumsolve.linalg import RANK_TOL, AffineSubspace, LinearSubspace, intersect
 from circumsolve.theory import (
     AffineCombo,
     Compose,
@@ -347,6 +347,14 @@ def _relative_distance(kind, subs, x, U):
     return np.linalg.norm(c - U.project(c)) / scale
 
 
+def _smallest_kept_singular_value(kind, subs, x):
+    # of the differences p_i - p_0 of S(x) on the scale of _relative_distance
+    P = reflection_set(kind, subs).points(x)
+    scale = sum(np.linalg.norm(s.reflect(x) - x) for s in subs)
+    sv = np.linalg.svd((P[1:] - P[0]) / scale, compute_uv=False)
+    return sv[sv > RANK_TOL * sv[0]].min()
+
+
 @pytest.mark.parametrize("anchored", [False, True], ids=["linear", "anchored"])
 @pytest.mark.parametrize("kind, closed_under", [("s3", 1), ("s4", 0)])
 @settings(max_examples=60, deadline=None)
@@ -355,9 +363,17 @@ def _relative_distance(kind, subs, x, U):
     cf=st.floats(0.0, 0.9999),
     seed=st.integers(0, 2**32 - 1),
 )
+# near cF = 0 the two reflections nearly commute, and S_4(x) keeps two
+# directions 1e-8 times its size, which no solve resolves better than eps / 1e-8
+@example(n=9, cf=0.0, seed=1519)
 def test_a_reflection_closed_set_maps_into_the_subspace(kind, closed_under, anchored, n, cf, seed):
     subs, x = _lemma_pair(n, cf, seed, anchored)
-    assert _relative_distance(kind, subs, x, subs[closed_under]) <= 1e-10
+    # rounding the points moves the centre by about eps / sigma; the largest
+    # ratio seen on 6,000 random cases was 0.6, so C = 10 keeps the bound at
+    # 1e-10 for every set with sigma above 2.2e-5
+    sigma = _smallest_kept_singular_value(kind, subs, x)
+    bound = max(1e-10, 10 * np.finfo(float).eps / sigma)
+    assert _relative_distance(kind, subs, x, subs[closed_under]) <= bound
 
 
 @pytest.mark.parametrize("kind", ["s1", "s2"])

@@ -16,7 +16,14 @@ records:
   measure on 20 high-cF problems in R^100 (10 pairs x 2 points, seed 1012)
   with the six pair solvers, and each solver's Dolan-More share at tau = 1
   and tau = 2 (the fraction of problems it solves within tau times the
-  fastest solver's time) with its total time.
+  fastest solver's time) with its total time;
+- the circumcenter's accuracy, for the report only: ``circumcenter_points``
+  against ``circumcenter_oracle`` on 3,600 rank-2 sets of 3 or 4 points in
+  R^3..R^60 (a fourth point duplicates one of the three), 225 for each
+  decade of sin^2 of the angle at p_1 from 1 down to 1e-16.  Per decade it
+  records the median and largest error in units of eps / sin, relative to
+  max|p| + radius, and how many centres the oracle found and the solve did
+  not.
 
 It then times the acceptance grid: both experiments (100 problems in R^100
 each, seeds 1012 and 1013) through ``run_grid`` with the six grid solvers, in
@@ -94,6 +101,42 @@ print(json.dumps(out))
 """
 
 
+ACCURACY = r"""
+import json, math, sys
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+from circumsolve.circumcenter import circumcenter_oracle, circumcenter_points
+eps = float(np.finfo(float).eps)
+rng = np.random.default_rng(2024)
+out = {}
+for decade in range(16):
+    errors, missing = [], 0
+    for _ in range(225):
+        n, m = int(rng.integers(3, 61)), int(rng.integers(3, 5))
+        sin2 = 10.0 ** -(decade + rng.random())
+        u, w = np.linalg.qr(rng.standard_normal((n, 2)))[0].T
+        a, b = rng.uniform(0.5, 2.0, 2)
+        side = u if rng.random() < 0.5 else -u
+        p0 = rng.standard_normal(n) * rng.uniform(0.0, 10.0)
+        P = np.array([p0, p0 + a * u, p0 + b * (math.sqrt(1.0 - sin2) * side + math.sqrt(sin2) * w)])
+        P = P[[0, 1, 2, int(rng.integers(0, 3))][:m]]
+        r, o = circumcenter_points(P), circumcenter_oracle(P)
+        if o.value is None:
+            continue
+        if r.value is None:
+            missing += 1
+            continue
+        scale = (np.abs(P).max() + o.radius) * eps / math.sqrt(sin2)
+        errors.append(float(np.linalg.norm(r.value - o.value) / scale))
+    top = "1" if decade == 0 else f"1e-{decade}"
+    out[f"sin2 1e-{decade + 1}..{top}"] = {
+        "error_eps_per_sin_median": float(np.median(errors)) if errors else None,
+        "error_eps_per_sin_max": max(errors, default=None), "missing": missing,
+        "sets": 225}
+print(json.dumps(out))
+"""
+
+
 def last_json(cmd, cwd: Path) -> dict:
     proc = subprocess.run(cmd, cwd=cwd, capture_output=True, text=True)
     if proc.returncode != 0:
@@ -119,7 +162,8 @@ def record(root: Path, workloads: list[str]) -> dict:
     env = envinfo.environment(root)
     env["src_module_lines"] = module_lines(root)
     profile = last_json([sys.executable, "-c", PROFILE, str(root / "src")], root)
-    return {"env": env, "perfbench": runs, "runtime_profile": profile}
+    accuracy = last_json([sys.executable, "-c", ACCURACY, str(root / "src")], root)
+    return {"env": env, "perfbench": runs, "runtime_profile": profile, "circumcenter_accuracy": accuracy}
 
 
 def summary(values: list[float]) -> dict:
