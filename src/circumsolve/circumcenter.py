@@ -75,9 +75,9 @@ _TINY = float(np.finfo(float).tiny)
 _geqp3, _trtrs = scipy.linalg.get_lapack_funcs(("geqp3", "trtrs"), dtype=np.float64)
 
 # A triangle is solved in closed form only when its Gram determinant exceeds
-# TRIANGLE_MARGIN * max(|d_1|^2, |d_2|^2)^2, i.e. when sin^2 of its angle at
-# p_1 is above about 1e-6.  Cramer's rule errs by about eps / sin^2 and the
-# solve on R by about eps / sin, so flatter triangles take the QR path.
+# TRIANGLE_MARGIN * max(|d_1|^2, |d_2|^2)^2, which needs sin^2 of its angle
+# at p_1 above 1e-6.  Cramer's rule errs by about eps / sin^2 and the solve
+# on R by about eps / sin, so flatter triangles take the QR path.
 TRIANGLE_MARGIN = 1e-6
 
 
@@ -140,9 +140,9 @@ def _circumcenter(P: np.ndarray, tol: float) -> CircumcenterResult:
         candidate = p0.copy()
     else:
         # G = Dc Dc^T = R^T R on the kept k x k block of the factor, so two
-        # triangular solves give the coefficients; dividing both by
-        # s = |R_11| keeps every square in range and scales the right-hand
-        # side |d_j|^2 by 1 / s^2, which the candidate undoes
+        # triangular solves give the coefficients.  Dividing both by
+        # s = |R_11| keeps every square in range; the right-hand side is
+        # |d_j|^2 / s^2, so beta = 2 alpha and the candidate undoes 1/2 and s
         s = residuals[0]
         Dc = D.take(jpvt[:k] - 1, axis=0) / s
         R = qr[:k, :k] / s

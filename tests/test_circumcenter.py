@@ -489,6 +489,18 @@ def test_triangle_circumcenter_is_solved_without_a_factorisation(monkeypatch, se
     assert np.ptp(dists) <= 1e-12 * r.radius
 
 
+def _triangle(n, sin2, apex, seed):
+    # the angle at p_0 has the given sin^2 and the sides lengths in [0.5, 2],
+    # so det / max|d|^4 >= sin^2 / 16; p_0 is the apex of a sliver or lies
+    # between the other two points, whose circumcenter is then far away
+    rng = np.random.default_rng(seed)
+    u, w = np.linalg.qr(rng.standard_normal((n, 2)))[0].T
+    a, b = rng.uniform(0.5, 2.0, 2)
+    direction = math.sqrt(1.0 - sin2) * (u if apex else -u) + math.sqrt(sin2) * w
+    p0 = rng.standard_normal(n) * rng.uniform(0.0, 10.0)
+    return np.array([p0, p0 + a * u, p0 + b * direction])
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     n=st.integers(2, 100),
@@ -498,21 +510,13 @@ def test_triangle_circumcenter_is_solved_without_a_factorisation(monkeypatch, se
     seed=st.integers(0, 2**32 - 1),
 )
 def test_triangles_agree_with_the_oracle(n, exponent, flatness, apex, seed):
-    # the angle at p_0 has sin^2 = 10^flatness, and the sides lengths in
-    # [0.5, 2], so det / max|d|^4 >= sin^2 / 16 runs from 1 down past
-    # TRIANGLE_MARGIN into the QR path; p_0 is the apex of a sliver or
-    # lies between the other two points, whose circumcenter is then far away
-    rng = np.random.default_rng(seed)
-    u, w = np.linalg.qr(rng.standard_normal((n, 2)))[0].T
+    # det / max|d|^4 runs from 1 down past TRIANGLE_MARGIN into the QR path
     sin2 = 10.0**flatness
-    a, b = rng.uniform(0.5, 2.0, 2)
-    direction = math.sqrt(1.0 - sin2) * (u if apex else -u) + math.sqrt(sin2) * w
-    p0 = rng.standard_normal(n) * rng.uniform(0.0, 10.0)
-    P = np.array([p0, p0 + a * u, p0 + b * direction]) * 10.0**exponent
+    P = _triangle(n, sin2, apex, seed) * 10.0**exponent
     r, o = circumcenter_points(P), circumcenter_oracle(P)
-    # Cramer's rule errs by at most 2.3e-15 / sin^2 relative (20,000 random
+    # Cramer's rule errs by at most 2.4e-15 / sin^2 relative (60,000 random
     # triangles); it runs only where det / max|d|^4 > 1e-6, so sin^2 >= 1e-6.
-    # Flatter triangles take the solve on R, which errs by at most 6 eps / sin
+    # Flatter triangles take the solve on R, which errs by at most 6.4 eps / sin
     assert (r.value is None) == (o.value is None)
     if r.value is None:
         return
@@ -544,15 +548,10 @@ def test_a_near_collinear_triangle_has_its_centre(h):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_rank_two_sets_agree_with_the_oracle_to_eps_over_sin(n, flatness, apex, duplicate, seed):
-    # three points with sin^2 = 10^flatness at p_0 and a duplicated fourth,
-    # which sends the set through the QR path at every flatness
-    rng = np.random.default_rng(seed)
-    u, w = np.linalg.qr(rng.standard_normal((n, 2)))[0].T
+    # a duplicated fourth point sends the set through the QR path at every
+    # flatness
     sin2 = 10.0**flatness
-    a, b = rng.uniform(0.5, 2.0, 2)
-    direction = math.sqrt(1.0 - sin2) * (u if apex else -u) + math.sqrt(sin2) * w
-    p0 = rng.standard_normal(n) * rng.uniform(0.0, 10.0)
-    P = np.array([p0, p0 + a * u, p0 + b * direction])
+    P = _triangle(n, sin2, apex, seed)
     P = np.vstack([P, P[duplicate]])
     r, o = circumcenter_points(P), circumcenter_oracle(P)
     if o.value is None:
