@@ -57,7 +57,9 @@ class LinearSubspace:
     def __post_init__(self):
         if self.ambient_dim < 1:
             raise ValueError("ambient dimension must be positive")
-        B = np.asarray(self.basis, dtype=float).reshape(-1, self.ambient_dim)
+        # stored C-contiguous, so a basis projects through the same BLAS kernel
+        # on its own and as one slice of the solvers' stacked bases
+        B = np.ascontiguousarray(self.basis, dtype=float).reshape(-1, self.ambient_dim)
         if B.shape[0] > self.ambient_dim:
             raise ValueError("more basis vectors than ambient dimensions")
         if not np.all(np.isfinite(B)):

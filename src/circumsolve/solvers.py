@@ -120,7 +120,9 @@ def iterate(step, x0, cfg: IterationConfig, reference, monitor=None) -> Trace:
     k = 0
     start = time.perf_counter()
     while True:
-        if not np.isfinite(x).all():
+        # a finite sum of squares proves x finite; one that is not may have
+        # only overflowed, so the entries decide
+        if not math.isfinite(x.dot(x)) and not np.isfinite(x).all():
             raise DivergenceError(f"iterate {k} is not finite", last_finite)
         last_finite = x
         if iterates is not None:
@@ -138,6 +140,40 @@ def iterate(step, x0, cfg: IterationConfig, reference, monitor=None) -> Trace:
         k += 1
     wall = time.perf_counter() - start
     return Trace(np.array(errors), k, solved, wall, iterates)
+
+
+def _project_rows(subs):
+    """The projections onto all t subspaces at once, as one function.
+
+    It maps a point x to the t x n array of P_i x, and a t x n array X to
+    the array of P_i X[i].  The bases are stacked into a t x k x n array,
+    padded with zero rows to the largest dimension k, and the anchors into
+    a t x n array, so a call is two batched matrix products: the arithmetic
+    of ``AffineSubspace._project``, a_i + B_i^T (B_i (x - a_i)), with the
+    anchor steps skipped when every anchor is zero.  Each slice runs the
+    BLAS kernel of ``_project``, so when the t bases share a dimension every
+    row has its bits; a padded slice sums its zero rows too and may round
+    differently.
+    """
+    t, n = len(subs), subs[0].ambient_dim
+    k = max(s.direction.dim for s in subs)
+    Bs = np.zeros((t, k, n))
+    for B, s in zip(Bs, subs):
+        B[: s.direction.dim] = s.direction.basis
+    if all(s.through_origin for s in subs):
+        def project(x):
+            Y = Bs @ x[..., None]
+            return (Y.transpose(0, 2, 1) @ Bs)[:, 0]
+
+        return project
+
+    A = np.array([s.anchor for s in subs])
+
+    def project(x):
+        Y = Bs @ (x - A)[..., None]
+        return A + (Y.transpose(0, 2, 1) @ Bs)[:, 0]
+
+    return project
 
 
 def make_solver(spec: SolverSpec, subspaces) -> Solver:
@@ -187,13 +223,11 @@ def make_solver(spec: SolverSpec, subspaces) -> Solver:
         return Solver(init, step, identity)
 
     if spec.kind == "avg_proj":
-        projectors = [s._project for s in subs]
+        project = _project_rows(subs)
 
         def step(x):
-            acc = projectors[0](x)
-            for p in projectors[1:]:
-                acc = acc + p(x)
-            return acc / t
+            # the sum over axis 0 adds the rows in order, as a loop would
+            return project(x).sum(axis=0) / t
 
         return Solver(init, step, identity)
 
@@ -212,21 +246,31 @@ def make_solver(spec: SolverSpec, subspaces) -> Solver:
         return Solver(init, step, U1._project)
 
     if spec.kind == "product_crm":
+        project = _project_rows(subs)
+
         def step(v):
-            # R_D v = 2 P_D v - v block by block (P_D v is the blocks' mean), then R_C
+            # R_D v = 2 P_D v - v block by block (P_D v is the blocks' mean),
+            # then R_C reflects block i through U_i
             blocks = v.reshape(t, n)
             rd = 2.0 * (blocks.sum(axis=0) / t) - blocks
-            rcd = np.concatenate([r(b) for r, b in zip(reflect, rd)])
-            return proper_circumcenter(np.array([v, rcd]))
+            rcd = 2.0 * project(rd) - rd
+            return proper_circumcenter(np.array([v, rcd.ravel()]))
 
         return Solver(lambda x: np.tile(init(x), t), step, lambda v: v[:n])
 
-    # the rows of reflection_set(kind, subs) at x, each reflection made once
     if spec.kind == "crm_s1":
-        def images(x):
-            return [x] + [r(x) for r in reflect]
+        project = _project_rows(subs)
 
-    elif spec.kind == "crm_s2":
+        def step(x):
+            P = np.empty((t + 1, n))
+            P[0] = x
+            P[1:] = 2.0 * project(x) - x
+            return proper_circumcenter(P)
+
+        return Solver(init, step, identity)
+
+    # the rows of reflection_set(kind, subs) at x, each reflection made once
+    if spec.kind == "crm_s2":
         def images(x):
             rows = [x]
             for r in reflect:

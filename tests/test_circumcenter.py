@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from circumsolve.circumcenter import CircumcenterError, circumcenter_oracle, circumcenter_points
 from circumsolve.linalg import AffineSubspace, LinearSubspace, intersect
+from circumsolve import solvers
 from circumsolve.solvers import SolverSpec, make_solver
 from circumsolve.theory import (
     Compose,
@@ -331,20 +332,37 @@ def test_points_equal_each_operator_applied_on_its_own(name):
     [("crm_s1", 4, 4), ("crm_s2", 4, 4), ("crm_s3", 2, 3), ("crm_s4", 2, 5), ("product_crm", 4, 4)],
 )
 def test_step_applies_each_reflection_once(monkeypatch, kind, t, reflections):
+    # crm-s1 and product-crm take their t reflections from one batched
+    # projection of t rows; the chains call AffineSubspace._reflect for each
     rng = np.random.default_rng(28)
-    calls = []
+    calls, batches = [], []
     reflect = AffineSubspace._reflect
+    project_rows = solvers._project_rows
 
     def counting(self, x):
         calls.append(1)
         return reflect(self, x)
 
+    def counting_rows(subs):
+        project = project_rows(subs)
+
+        def counted(x):
+            rows = project(x)
+            batches.append(len(rows))
+            return rows
+
+        return counted
+
     monkeypatch.setattr(AffineSubspace, "_reflect", counting)
+    monkeypatch.setattr(solvers, "_project_rows", counting_rows)
     s = make_solver(SolverSpec(kind), _affine_subspaces(rng, t))
     x = s.init(rng.standard_normal(6))
     calls.clear()
     s.step(x)
-    assert len(calls) == reflections
+    if kind in ("crm_s1", "product_crm"):
+        assert calls == [] and batches == [reflections]
+    else:
+        assert len(calls) == reflections and batches == []
 
 
 @pytest.mark.parametrize(
