@@ -191,7 +191,8 @@ def make_solver(spec: SolverSpec, subspaces) -> Solver:
     is the two-set CRM {Id, R_C R_D} on Pierra's lift
     (:func:`~circumsolve.theory.lift_to_product`) in closed form: P_D
     averages the t blocks and R_C reflects block i through the i-th
-    subspace.
+    subspace.  crm-s1, avg-proj and product-crm take the t projections of
+    a step from one batched product (:func:`_project_rows`).
 
     drm and the CRM kinds need the subspaces to share a point: one
     :func:`intersect_all` check raises ``ValueError("common fixed set is
