@@ -19,7 +19,7 @@ import scipy.linalg
 
 from .linalg import RANK_TOL
 
-DEFAULT_CC_TOL = 1e-8
+CC_TOL = 1e-8
 
 
 class CircumcenterError(RuntimeError):
@@ -34,7 +34,7 @@ class CircumcenterResult:
     hull (the set is affinely degenerate with inconsistent distances).
     ``radius`` is the mean distance from the candidate to the points and
     ``residual`` the largest deviation from that mean; acceptance requires
-    ``residual <= tol * (1 + radius)``.
+    ``residual <= CC_TOL * (1 + radius)``.
     """
 
     value: np.ndarray | None
@@ -55,7 +55,7 @@ def _as_points(points) -> np.ndarray:
     return P
 
 
-def _accept(candidate: np.ndarray, P: np.ndarray, tol: float) -> CircumcenterResult:
+def _accept(candidate: np.ndarray, P: np.ndarray) -> CircumcenterResult:
     E = P - candidate
     # the distances of np.linalg.norm(E, axis=1), without its argument
     # handling; the mean and the largest deviation are taken on the few row
@@ -65,7 +65,7 @@ def _accept(candidate: np.ndarray, P: np.ndarray, tol: float) -> CircumcenterRes
     residual = max(abs(d - radius) for d in dists)
     # max() keeps an inf that comes before a NaN, so a distance that
     # overflowed or is NaN must be caught by the radius, which it poisons
-    if math.isfinite(radius) and residual <= tol * (1.0 + radius):
+    if math.isfinite(radius) and residual <= CC_TOL * (1.0 + radius):
         return CircumcenterResult(candidate, radius, residual)
     return CircumcenterResult(None, radius, residual)
 
@@ -90,7 +90,7 @@ def noise_floor(n: int, sq_norm: float) -> float:
     return 64.0 * n * _EPS * math.sqrt(sq_norm)
 
 
-def _circumcenter(P: np.ndarray, tol: float) -> CircumcenterResult:
+def _circumcenter(P: np.ndarray) -> CircumcenterResult:
     """The Gram-system circumcenter of the rows of a checked, finite ``P``.
 
     Two points give their midpoint, a clearly non-flat triangle (see
@@ -103,7 +103,7 @@ def _circumcenter(P: np.ndarray, tol: float) -> CircumcenterResult:
     if D.shape[0] == 0:
         return CircumcenterResult(p0.copy(), 0.0, 0.0)
     if D.shape[0] == 1:
-        return _accept(p0 + 0.5 * D[0], P, tol)
+        return _accept(p0 + 0.5 * D[0], P)
     if D.shape[0] == 2:
         (g11, g12), (_, g22) = (D @ D.T).tolist()
         big = max(g11, g22)
@@ -120,7 +120,7 @@ def _circumcenter(P: np.ndarray, tol: float) -> CircumcenterResult:
             d1, d2 = D
             a1 = 0.5 * g22 * (g11 - g12) / det
             a2 = 0.5 * g11 * (g22 - g12) / det
-            return _accept(p0 + a1 * d1 + a2 * d2, P, tol)
+            return _accept(p0 + a1 * d1 + a2 * d2, P)
 
     # differences below the rounding noise of the points themselves are
     # treated as zero, otherwise a noise row can poison the Gram system
@@ -149,10 +149,10 @@ def _circumcenter(P: np.ndarray, tol: float) -> CircumcenterResult:
         y, _ = _trtrs(R, np.einsum("ij,ij->i", Dc, Dc), trans=1)
         beta, _ = _trtrs(R, y)
         candidate = p0 + (beta @ Dc) * (0.5 * s)
-    return _accept(candidate, P, tol)
+    return _accept(candidate, P)
 
 
-def circumcenter_points(points, tol: float = DEFAULT_CC_TOL) -> CircumcenterResult:
+def circumcenter_points(points) -> CircumcenterResult:
     """Circumcenter of a finite point set via the Gram-matrix formula.
 
     Column-pivoted QR of the differences ``d_j = p_j - p_1`` (LAPACK
@@ -165,12 +165,10 @@ def circumcenter_points(points, tol: float = DEFAULT_CC_TOL) -> CircumcenterResu
     rule, with no factorisation.  A candidate that is not equidistant from
     all the points, a non-finite distance included, gives an empty result.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    return _circumcenter(_as_points(points), tol)
+    return _circumcenter(_as_points(points))
 
 
-def circumcenter_oracle(points, tol: float = DEFAULT_CC_TOL) -> CircumcenterResult:
+def circumcenter_oracle(points) -> CircumcenterResult:
     """Independent circumcenter computation from the equidistance conditions.
 
     Parameterizes the candidate as ``p_1 + B^T c`` over an SVD-derived
@@ -178,9 +176,11 @@ def circumcenter_oracle(points, tol: float = DEFAULT_CC_TOL) -> CircumcenterResu
     of the Gram route, and solves the full system
     ``||p - p_i||^2 = ||p - p_1||^2`` (one equation per point) by least
     squares.  Deliberately shares no code with :func:`circumcenter_points`.
+    On a near-flat set the candidate can leave the hull by about
+    eps * sigma_1 / sigma_k (the extreme kept singular values of the d_j): on
+    [[0, 2.202635371344358, 0], [0, -0.65625, 1e-9], [0, 0, 0]] its x is 838
+    at radius 9.4e8, 8.9e-7 off x = 0 relative; the Gram route keeps x = 0.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
     P = _as_points(points)
     p0 = P[0]
     D = P[1:] - p0
@@ -194,22 +194,22 @@ def circumcenter_oracle(points, tol: float = DEFAULT_CC_TOL) -> CircumcenterResu
         rhs = 0.5 * np.einsum("ij,ij->i", D, D)
         c, *_ = np.linalg.lstsq(A, rhs, rcond=None)
         candidate = p0 + c @ B
-    return _accept(candidate, P, tol)
+    return _accept(candidate, P)
 
 
-def proper_circumcenter(P: np.ndarray, tol: float = DEFAULT_CC_TOL) -> np.ndarray:
+def proper_circumcenter(P: np.ndarray) -> np.ndarray:
     """The circumcenter of the rows of ``P``, which must exist.
 
-    Neither ``P`` nor ``tol`` is checked: ``P`` is the image of a checked
-    vector under an operator set and ``tol`` a checked tolerance, as in the
-    solvers' steps and :func:`circumsolve.theory.circumcenter_map`.  Raises
+    ``P`` is not checked: it is the image of a checked vector under an
+    operator set, as in the solvers' steps and
+    :func:`circumsolve.theory.circumcenter_map`.  Raises
     :class:`CircumcenterError` when no equidistant point is found.
     """
-    res = _circumcenter(P, tol)
+    res = _circumcenter(P)
     if res.value is None:
         raise CircumcenterError(
             "properness violated numerically: no equidistant point found "
             f"(residual {res.residual:.3e}, radius {res.radius:.3e}); "
-            "the operator set may not consist of isometries, or tol is too tight"
+            "the operator set may not consist of isometries"
         )
     return res.value

@@ -105,11 +105,11 @@ class LinearSubspace:
         x = as_vector(x, self.ambient_dim)
         return float(np.linalg.norm(x - self._project(x))) <= FEAS_TOL * (1.0 + np.linalg.norm(x))
 
-    def same_span(self, other: "LinearSubspace", tol: float = FEAS_TOL) -> bool:
+    def same_span(self, other: "LinearSubspace") -> bool:
         if self.ambient_dim != other.ambient_dim or self.dim != other.dim:
             return False
         resid = self.basis - (self.basis @ other.basis.T) @ other.basis
-        return float(np.abs(resid).max(initial=0.0)) <= tol
+        return float(np.abs(resid).max(initial=0.0)) <= FEAS_TOL
 
     def as_affine(self) -> "AffineSubspace":
         return AffineSubspace(np.zeros(self.ambient_dim), self)
@@ -212,10 +212,10 @@ class AffineSubspace:
         x = as_vector(x, self.ambient_dim)
         return float(np.linalg.norm(x - self._project(x))) <= FEAS_TOL * (1.0 + np.linalg.norm(x))
 
-    def same_set(self, other: "AffineSubspace", tol: float = FEAS_TOL) -> bool:
+    def same_set(self, other: "AffineSubspace") -> bool:
         return (
-            self.direction.same_span(other.direction, tol)
-            and float(np.linalg.norm(self.anchor - other.anchor)) <= tol * (1.0 + np.linalg.norm(self.anchor))
+            self.direction.same_span(other.direction)
+            and float(np.linalg.norm(self.anchor - other.anchor)) <= FEAS_TOL * (1.0 + np.linalg.norm(self.anchor))
         )
 
 
@@ -292,29 +292,25 @@ def intersect_all(subspaces):
     return acc
 
 
-def _deflate(L: LinearSubspace, W: LinearSubspace) -> LinearSubspace:
-    # L cap W^perp for W inside L: orthogonalize the W-free parts of L's basis.
-    if W.dim == 0 or L.dim == 0:
-        return L
-    resid = L.basis - (L.basis @ W.basis.T) @ W.basis
-    return orthonormal_basis(resid, dim=L.ambient_dim)
-
-
 def friedrichs_cosine(U: LinearSubspace, V: LinearSubspace) -> float:
     """Cosine of the Friedrichs angle between two linear subspaces.
 
-    The intersection is removed from both subspaces first; the result is the
-    largest cosine of the remaining principal angles.  When one deflated
-    subspace is zero (in particular for nested subspaces) the supremum runs
-    over an empty set and the value is 0 by convention.
+    The largest cosine of the principal angles that are not zero.  With BA
+    the smaller basis, as in :func:`intersect`, R = BA (I - P_B) has the
+    sines and BA BB^T the cosines; the value is the (r+1)-th cosine, r the
+    number of sines at most ``ANGLE_SINE_TOL``, or 0 by convention when
+    every angle is zero (nested subspaces) or a subspace is {0}.
     """
     if U.ambient_dim != V.ambient_dim:
         raise ValueError("subspaces live in different ambient dimensions")
-    inter = intersect(U.as_affine(), V.as_affine())
-    W = inter.direction
-    Ud = _deflate(U, W)
-    Vd = _deflate(V, W)
-    if Ud.dim == 0 or Vd.dim == 0:
+    if U.dim > V.dim:
+        U, V = V, U
+    BA, BB = U.basis, V.basis
+    C = BA @ BB.T
+    # the SVD call of intersect on the same R, so r is its dimension bit for bit
+    _, sines, _ = np.linalg.svd(BA - C @ BB, full_matrices=False)
+    r = int(np.count_nonzero(sines <= ANGLE_SINE_TOL))
+    if r == U.dim:
         return 0.0
-    s = np.linalg.svd(Ud.basis @ Vd.basis.T, compute_uv=False)
-    return float(np.clip(s[0], 0.0, 1.0))
+    cosines = np.linalg.svd(C, compute_uv=False)
+    return float(np.clip(cosines[r], 0.0, 1.0))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .circumcenter import DEFAULT_CC_TOL, proper_circumcenter
+from .circumcenter import proper_circumcenter
 from .linalg import (
     FEAS_TOL,
     RANK_TOL,
@@ -349,7 +349,7 @@ def reflection_set(kind: str, subspaces) -> OperatorSet:
     return OperatorSet(tuple(ops), fixed=fix)
 
 
-def circumcenter_map(S: OperatorSet, x, tol: float = DEFAULT_CC_TOL) -> np.ndarray:
+def circumcenter_map(S: OperatorSet, x) -> np.ndarray:
     """Apply the circumcenter mapping induced by the operator set S.
 
     For a set of isometries with a common fixed point the mapping is proper
@@ -357,9 +357,7 @@ def circumcenter_map(S: OperatorSet, x, tol: float = DEFAULT_CC_TOL) -> np.ndarr
     failure and raises :class:`~circumsolve.circumcenter.CircumcenterError`
     with the residual attached.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    return proper_circumcenter(S.points(x), tol)
+    return proper_circumcenter(S.points(x))
 
 
 def circumcenter_via_fixpoint(S: OperatorSet, x, W: AffineSubspace) -> np.ndarray:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circumsolve.linalg import (
     FEAS_TOL,
@@ -11,7 +13,9 @@ from circumsolve.linalg import (
     orthogonal_complement,
     orthonormal_basis,
 )
-from circumsolve.problems import ProblemSpec, gen_subspace_pair
+from circumsolve import linalg
+from circumsolve.problems import ProblemSpec, gen_subspace_pair, generate_problem_set
+from circumsolve.theory import lift_to_product
 
 
 def test_orthonormal_basis_drops_duplicate_direction():
@@ -305,6 +309,116 @@ def test_friedrichs_symmetry_and_orthogonal_invariance():
     UQ = LinearSubspace(6, U.basis @ Q.T)
     VQ = LinearSubspace(6, V.basis @ Q.T)
     assert friedrichs_cosine(UQ, VQ) == pytest.approx(c, abs=1e-10)
+
+
+def _deflated_friedrichs(U, V):
+    # the definition, in numpy alone: project both bases off the intersection
+    # W, orthonormalise what is left (dim - dim W rows each) and take the
+    # largest cosine between the two remainders
+    W = intersect(U, V).direction.basis
+    rests = []
+    for B in (U.basis, V.basis):
+        resid = B - (B @ W.T) @ W
+        rests.append(np.linalg.svd(resid, full_matrices=False)[2][: B.shape[0] - W.shape[0]])
+    if min(r.shape[0] for r in rests) == 0:
+        return 0.0
+    return float(np.linalg.svd(rests[0] @ rests[1].T, compute_uv=False)[0])
+
+
+@st.composite
+def _subspace_pairs(draw):
+    # U = shared + a_i and V = shared + (cos t_i a_i + sin t_i b_i) + c_axes in
+    # a canonical frame, turned by a random orthogonal map: p != q, nested
+    # pairs (r = min(p, q)), r = 0, U = {0} and V = R^n all occur
+    n = draw(st.integers(1, 10))
+    p = draw(st.integers(0, n))
+    q = draw(st.integers(p, n))
+    r = draw(st.integers(max(0, p + q - n), p))
+    cosines = draw(st.lists(st.floats(0.0, 0.9999), min_size=p - r, max_size=p - r))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    Q, R = np.linalg.qr(rng.standard_normal((n, n)))
+    Q = Q * np.sign(np.diag(R))
+    E = np.eye(n)
+    shared, a = E[:r], E[r:p]
+    b, c = E[p : 2 * p - r], E[2 * p - r : p + q - r]
+    thetas = np.arccos(cosines)
+    rotated = np.cos(thetas)[:, None] * a + np.sin(thetas)[:, None] * b
+    U = LinearSubspace(n, np.vstack([shared, a]) @ Q.T)
+    V = LinearSubspace(n, np.vstack([shared, rotated, c]) @ Q.T)
+    if draw(st.booleans()):
+        U, V = V, U
+    return U, V, r
+
+
+def _cosine_after(U, V, k):
+    # the (k+1)-th largest cosine between the two bases, 0 past the last
+    A, B = (U.basis, V.basis) if U.dim <= V.dim else (V.basis, U.basis)
+    if k >= A.shape[0]:
+        return 0.0
+    return float(np.linalg.svd(A @ B.T, compute_uv=False)[k])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_subspace_pairs())
+def test_friedrichs_matches_the_deflation_definition(pair):
+    U, V, r = pair
+    got = friedrichs_cosine(U, V)
+    assert abs(got - _deflated_friedrichs(U, V)) <= 1e-12
+    # the angles deflated are intersect's: the value is the cosine right after
+    # the first dim W of them
+    k = intersect(U, V).direction.dim
+    assert k == r
+    assert abs(got - _cosine_after(U, V, k)) <= 1e-14
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4), st.integers(0, 2), st.integers(0, 2**32 - 1))
+def test_friedrichs_matches_the_deflation_definition_on_lifted_sets(t, shared_dims, seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 9))
+    shared = rng.standard_normal((shared_dims, n))
+    subs = [
+        LinearSubspace.span(np.vstack([shared, rng.standard_normal((int(rng.integers(1, 3)), n))]))
+        for _ in range(t)
+    ]
+    C, D = lift_to_product(subs)
+    got = friedrichs_cosine(C.direction, D.direction)
+    assert abs(got - _deflated_friedrichs(C.direction, D.direction)) <= 1e-12
+    k = intersect(C.direction, D.direction).direction.dim
+    assert abs(got - _cosine_after(C.direction, D.direction, k)) <= 1e-14
+
+
+@pytest.mark.parametrize("cosine", [0.6, 0.0])
+def test_friedrichs_counts_a_sine_below_the_angle_tolerance_as_zero(cosine):
+    # sin = 1.5e-10 lies between RANK_TOL and ANGLE_SINE_TOL: intersect takes
+    # that direction into the intersection, so the value is the next cosine.
+    # Deflating with RANK_TOL instead keeps the 1.5e-10 residual as a
+    # direction, whose rounding (eps / 1.5e-10) moves the value by up to 1e-6
+    assert linalg.RANK_TOL < 1.5e-10 < linalg.ANGLE_SINE_TOL
+    rng = np.random.default_rng(8)
+    Q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    E = np.eye(6)
+    U = LinearSubspace(6, E[:2] @ Q.T)
+    second = cosine * E[1] + np.sqrt(1.0 - cosine**2) * E[3]
+    V = LinearSubspace(6, np.vstack([E[0] + 1.5e-10 * E[2], second]) @ Q.T)
+    assert intersect(U, V).direction.dim == 1
+    assert friedrichs_cosine(U, V) == pytest.approx(cosine, abs=1e-14)
+    assert friedrichs_cosine(V, U) == pytest.approx(cosine, abs=1e-14)
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("friedrichs_cosine must not call this")
+
+
+def test_friedrichs_needs_neither_intersect_nor_orthonormal_basis(monkeypatch):
+    monkeypatch.setattr(linalg, "intersect", _forbidden)
+    monkeypatch.setattr(linalg, "orthonormal_basis", _forbidden)
+    rng = np.random.default_rng(9)
+    U = LinearSubspace(7, np.linalg.qr(rng.standard_normal((7, 3)))[0].T)
+    V = LinearSubspace(7, np.linalg.qr(rng.standard_normal((7, 4)))[0].T)
+    assert 0.0 <= friedrichs_cosine(U, V) <= 1.0
+    spec = ProblemSpec(n=20, cf_range=(0.9, 0.95), pairs=2, points_per_pair=1, seed=3)
+    assert len(generate_problem_set(spec).pairs) == 2
 
 
 def test_pythagoras_identity():

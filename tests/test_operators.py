@@ -163,7 +163,7 @@ def test_surrogate_fixed_set_is_the_intersection(kind):
     T = surrogate_ts(kind, subs)
     assert sum(c for c, _ in T.terms) == pytest.approx(1.0, abs=1e-12)
     F = fixed_subspace(T, dim=5)
-    assert F.direction.same_span(LinearSubspace.span([w]), tol=1e-8)
+    assert F.direction.same_span(LinearSubspace.span([w]))
 
 
 @pytest.mark.parametrize("kind", ["mean_proj", "half_id_proj", "bcs_chain"])

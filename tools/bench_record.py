@@ -23,7 +23,11 @@ records:
   decade of sin^2 of the angle at p_1 from 1 down to 1e-16.  Per decade it
   records the median and largest error in units of eps / sin, relative to
   max|p| + radius, and how many centres the oracle found and the solve did
-  not.
+  not;
+- the cost of problem generation, for the report only: the median of 3
+  ``gen_subspace_pair`` calls (pairs 0..2, seed 1012, cF in [0.9, 0.95)) at
+  n = 100, 400 and 1000, with the median of 3 ``friedrichs_cosine`` calls on
+  the last of those pairs, the part of generation that labels the pair.
 
 It then times the acceptance grid: both experiments (100 problems in R^100
 each, seeds 1012 and 1013) through ``run_grid`` with the six grid solvers, in
@@ -137,6 +141,28 @@ print(json.dumps(out))
 """
 
 
+GENERATION = r"""
+import json, statistics, sys, time
+sys.path.insert(0, sys.argv[1])
+from circumsolve.linalg import friedrichs_cosine
+from circumsolve.problems import ProblemSpec, gen_subspace_pair
+def median_ms(call):
+    times = []
+    for i in range(3):
+        start = time.perf_counter()
+        out = call(i)
+        times.append(time.perf_counter() - start)
+    return statistics.median(times) * 1e3, out
+out = {}
+for n in (100, 400, 1000):
+    spec = ProblemSpec(n=n, cf_range=(0.90, 0.95), pairs=3, points_per_pair=0, seed=1012)
+    gen_ms, (L1, L2, _) = median_ms(lambda i: gen_subspace_pair(spec, i))
+    cf_ms, _ = median_ms(lambda i: friedrichs_cosine(L1, L2))
+    out[f"n={n}"] = {"gen_pair_ms": gen_ms, "friedrichs_ms": cf_ms}
+print(json.dumps(out))
+"""
+
+
 def last_json(cmd, cwd: Path) -> dict:
     proc = subprocess.run(cmd, cwd=cwd, capture_output=True, text=True)
     if proc.returncode != 0:
@@ -163,7 +189,9 @@ def record(root: Path, workloads: list[str]) -> dict:
     env["src_module_lines"] = module_lines(root)
     profile = last_json([sys.executable, "-c", PROFILE, str(root / "src")], root)
     accuracy = last_json([sys.executable, "-c", ACCURACY, str(root / "src")], root)
-    return {"env": env, "perfbench": runs, "runtime_profile": profile, "circumcenter_accuracy": accuracy}
+    generation = last_json([sys.executable, "-c", GENERATION, str(root / "src")], root)
+    return {"env": env, "perfbench": runs, "runtime_profile": profile, "circumcenter_accuracy": accuracy,
+            "generation": generation}
 
 
 def summary(values: list[float]) -> dict:
