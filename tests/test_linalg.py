@@ -297,6 +297,14 @@ def test_friedrichs_nested_subspaces_use_zero_convention():
     U = LinearSubspace.span([(1, 0, 0)])
     V = LinearSubspace.span([(1, 0, 0), (0, 1, 0)])
     assert friedrichs_cosine(U, V) == 0.0
+    # a generic nested pair and a subspace against itself, whose bases agree
+    # only to rounding: deflating the rounding left a noise direction behind
+    rng = np.random.default_rng(12)
+    V = LinearSubspace.span(rng.standard_normal((4, 7)))
+    U = LinearSubspace.span(rng.standard_normal((2, 4)) @ V.basis)
+    assert friedrichs_cosine(U, V) == 0.0
+    assert friedrichs_cosine(V, U) == 0.0
+    assert friedrichs_cosine(V, V) == 0.0
 
 
 def test_friedrichs_symmetry_and_orthogonal_invariance():
