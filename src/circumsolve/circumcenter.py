@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .linalg import RANK_TOL
+from .linalg import RANK_TOL, as_points, noise_floor, rank_revealing_qr
 
 CC_TOL = 1e-8
 
@@ -46,15 +46,6 @@ class CircumcenterResult:
         return self.value is not None
 
 
-def _as_points(points) -> np.ndarray:
-    P = np.atleast_2d(np.asarray(points, dtype=float))
-    if P.shape[0] == 0 or P.shape[1] == 0:
-        raise ValueError("point set must be nonempty")
-    if not np.all(np.isfinite(P)):
-        raise ValueError("point entries must be finite")
-    return P
-
-
 def _accept(candidate: np.ndarray, P: np.ndarray) -> CircumcenterResult:
     E = P - candidate
     # the distances of np.linalg.norm(E, axis=1), without its argument
@@ -70,24 +61,14 @@ def _accept(candidate: np.ndarray, P: np.ndarray) -> CircumcenterResult:
     return CircumcenterResult(None, radius, residual)
 
 
-_EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
-_geqp3, _trtrs = scipy.linalg.get_lapack_funcs(("geqp3", "trtrs"), dtype=np.float64)
+(_trtrs,) = scipy.linalg.get_lapack_funcs(("trtrs",), dtype=np.float64)
 
 # A triangle is solved in closed form only when its Gram determinant exceeds
 # TRIANGLE_MARGIN * max(|d_1|^2, |d_2|^2)^2, which needs sin^2 of its angle
 # at p_1 above 1e-6.  Cramer's rule errs by about eps / sin^2 and the solve
 # on R by about eps / sin, so flatter triangles take the QR path.
 TRIANGLE_MARGIN = 1e-6
-
-
-def noise_floor(n: int, sq_norm: float) -> float:
-    """Rounding noise of a difference of points of R^n with |p|^2 <= sq_norm.
-
-    Points produced by chains of reflections carry about n * eps * |p| of
-    rounding, so differences below this floor are treated as zero.
-    """
-    return 64.0 * n * _EPS * math.sqrt(sq_norm)
 
 
 def _circumcenter(P: np.ndarray) -> CircumcenterResult:
@@ -125,17 +106,7 @@ def _circumcenter(P: np.ndarray) -> CircumcenterResult:
     # differences below the rounding noise of the points themselves are
     # treated as zero, otherwise a noise row can poison the Gram system
     floor = noise_floor(P.shape[1], (P * P).sum(axis=1).max())
-
-    # column-pivoted QR of the n x m difference matrix: pivot k is the
-    # difference with the largest residual norm |R_kk| once the previous
-    # pivots are projected out, so |R_11| is the largest difference norm
-    qr, jpvt, _, _, _ = _geqp3(D.T)
-    residuals = np.abs(qr.diagonal()).tolist()
-    threshold = max(RANK_TOL * residuals[0], floor)
-    k = 0
-    while k < len(residuals) and residuals[k] > threshold:
-        k += 1
-
+    qr, jpvt, _, k = rank_revealing_qr(D, floor)
     if k == 0:
         candidate = p0.copy()
     else:
@@ -143,7 +114,7 @@ def _circumcenter(P: np.ndarray) -> CircumcenterResult:
         # triangular solves give the coefficients.  Dividing both by
         # s = |R_11| keeps every square in range; the right-hand side is
         # |d_j|^2 / s^2, so beta = 2 alpha and the candidate undoes 1/2 and s
-        s = residuals[0]
+        s = abs(float(qr[0, 0]))
         Dc = D.take(jpvt[:k] - 1, axis=0) / s
         R = qr[:k, :k] / s
         y, _ = _trtrs(R, np.einsum("ij,ij->i", Dc, Dc), trans=1)
@@ -155,17 +126,17 @@ def _circumcenter(P: np.ndarray) -> CircumcenterResult:
 def circumcenter_points(points) -> CircumcenterResult:
     """Circumcenter of a finite point set via the Gram-matrix formula.
 
-    Column-pivoted QR of the differences ``d_j = p_j - p_1`` (LAPACK
-    ``geqp3``, Businger & Golub 1965) keeps the leading pivots whose
-    residual norms exceed ``max(RANK_TOL * max|d_j|, noise floor)``.  The
-    Gram system ``G alpha = (1/2) [ ||d_j||^2 ]`` of the kept differences is
-    solved as ``R^T R alpha`` by two triangular solves on the factor, scaled
-    by ``|R_11|``, and the candidate is ``p_1 + sum_j alpha_j d_j``.  Two
+    The differences ``d_j = p_j - p_1`` take the rank rule of
+    :meth:`AffineSubspace.from_points`, :func:`linalg.rank_revealing_qr`
+    with the points' noise floor.  The Gram system
+    ``G alpha = (1/2) [ ||d_j||^2 ]`` of the kept pivots is solved as
+    ``R^T R alpha`` on the factor, scaled by ``|R_11|``, and the candidate
+    is ``p_1 + sum_j alpha_j d_j``.  Two
     points give their midpoint and a clearly non-flat triangle Cramer's
     rule, with no factorisation.  A candidate that is not equidistant from
     all the points, a non-finite distance included, gives an empty result.
     """
-    return _circumcenter(_as_points(points))
+    return _circumcenter(as_points(points))
 
 
 def circumcenter_oracle(points) -> CircumcenterResult:
@@ -181,7 +152,7 @@ def circumcenter_oracle(points) -> CircumcenterResult:
     [[0, 2.202635371344358, 0], [0, -0.65625, 1e-9], [0, 0, 0]] its x is 838
     at radius 9.4e8, 8.9e-7 off x = 0 relative; the Gram route keeps x = 0.
     """
-    P = _as_points(points)
+    P = as_points(points)
     p0 = P[0]
     D = P[1:] - p0
     if D.shape[0] == 0:

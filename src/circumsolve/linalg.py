@@ -7,6 +7,7 @@ so values may be shared freely between threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,9 +21,8 @@ FEAS_TOL = 1e-9
 
 _ORTHONORMALITY_TOL = 1e-12
 
-# Below this norm a vector's squared entries fall under the smallest normal
-# float, so np.linalg.norm (the root of their sum) loses relative accuracy.
-_TINY_NORM = float(np.sqrt(np.finfo(float).tiny))
+_EPS = float(np.finfo(float).eps)
+_geqp3, _orgqr = scipy.linalg.get_lapack_funcs(("geqp3", "orgqr"), dtype=np.float64)
 
 
 def as_vector(x, dim: int | None = None) -> np.ndarray:
@@ -42,6 +42,43 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
     return v
 
 
+def as_points(points) -> np.ndarray:
+    """Coerce ``points`` (one finite point a row; one 1-D point) to a 2-D array."""
+    P = np.atleast_2d(np.asarray(points, dtype=float))
+    if P.ndim != 2:
+        raise ValueError(f"expected one point a row, got shape {P.shape}")
+    if P.shape[0] == 0 or P.shape[1] == 0:
+        raise ValueError("point set must be nonempty")
+    if not np.all(np.isfinite(P)):
+        raise ValueError("point entries must be finite")
+    return P
+
+
+def noise_floor(n: int, sq_norm: float) -> float:
+    """Rounding noise of a difference of points of R^n with |p|^2 <= sq_norm.
+
+    Points produced by chains of reflections carry about n * eps * |p| of
+    rounding, so differences below this floor are treated as zero.
+    """
+    return 64.0 * n * _EPS * math.sqrt(sq_norm)
+
+
+def rank_revealing_qr(D: np.ndarray, floor: float):
+    """The one rank rule: ``geqp3``'s factor, 1-based pivots and tau, and the rank.
+
+    LAPACK ``geqp3`` (Businger & Golub 1965) factors D^T P = Q R, pivot k the
+    row of ``D`` (at least one) with the largest residual |R_kk| once the
+    previous pivots are projected out.  The rank counts the leading pivots
+    with |R_kk| > max(RANK_TOL * |R_11|, floor): ``floor`` is 0 for vectors,
+    the :func:`noise_floor` of the points for their differences.
+    """
+    qr, jpvt, tau, _, _ = _geqp3(D.T)
+    residuals = np.abs(qr.diagonal()).tolist()
+    threshold = max(RANK_TOL * residuals[0], floor)
+    k = next((i for i, r in enumerate(residuals) if not r > threshold), len(residuals))
+    return qr, jpvt, tau, k
+
+
 @dataclass(frozen=True)
 class LinearSubspace:
     """A linear subspace of R^n spanned by orthonormal basis rows.
@@ -59,7 +96,11 @@ class LinearSubspace:
             raise ValueError("ambient dimension must be positive")
         # stored C-contiguous, so a basis projects through the same BLAS kernel
         # on its own and as one slice of the solvers' stacked bases
-        B = np.ascontiguousarray(self.basis, dtype=float).reshape(-1, self.ambient_dim)
+        B = np.ascontiguousarray(self.basis, dtype=float)
+        if B.shape == (0,):  # an empty list, as a zero subspace is saved
+            B = B.reshape(0, self.ambient_dim)
+        if B.ndim != 2 or B.shape[1] != self.ambient_dim:
+            raise ValueError(f"basis must be k x {self.ambient_dim}, got shape {B.shape}")
         if B.shape[0] > self.ambient_dim:
             raise ValueError("more basis vectors than ambient dimensions")
         if not np.all(np.isfinite(B)):
@@ -118,37 +159,29 @@ class LinearSubspace:
 def orthonormal_basis(vectors, *, dim: int | None = None) -> LinearSubspace:
     """Orthonormalize ``vectors`` into a :class:`LinearSubspace`.
 
-    Modified Gram-Schmidt with one re-orthogonalization pass; a vector whose
-    residual norm is at most ``RANK_TOL`` times the largest input norm is
-    treated as dependent and dropped.  ``dim`` is required when ``vectors``
-    is empty (the zero subspace carries no dimension information).
+    The rank is :func:`rank_revealing_qr`'s with floor 0, and the basis its
+    Q (LAPACK ``orgqr``).  ``dim`` is required when ``vectors`` is empty
+    (the zero subspace carries no dimension information).
     """
-    rows = [as_vector(v) for v in list(vectors)]
-    if rows:
-        n = rows[0].shape[0]
-        for v in rows[1:]:
-            if v.shape[0] != n:
-                raise ValueError("input vectors do not share a dimension")
-    else:
-        if dim is None:
-            raise ValueError("ambient dimension required for empty input")
-        n = dim
+    rows = [as_vector(v) for v in vectors]
+    if not rows and dim is None:
+        raise ValueError("ambient dimension required for empty input")
+    if len({v.shape[0] for v in rows}) > 1:
+        raise ValueError("input vectors do not share a dimension")
+    return _row_span(np.array(rows) if rows else np.zeros((0, dim)), 0.0)
 
-    scale = max((float(np.linalg.norm(v)) for v in rows), default=0.0)
-    basis: list[np.ndarray] = []
-    for v in rows:
-        w = v.copy()
-        for _ in range(2):
-            for e in basis:
-                w -= (e @ w) * e
-        norm_w = float(np.linalg.norm(w))
-        if norm_w > RANK_TOL * scale and norm_w > 0.0:
-            e = w / norm_w
-            if norm_w < _TINY_NORM:  # the norm underflowed; normalise again
-                e = e / np.linalg.norm(e)
-            basis.append(e)
-    B = np.array(basis, dtype=float).reshape(len(basis), n)
-    return LinearSubspace(n, B)
+
+def _row_span(D: np.ndarray, floor: float) -> LinearSubspace:
+    # the first k columns of Q, each with the sign of its R_kk, so row j is
+    # pivot j's direction once the previous pivots are projected out
+    n = D.shape[1]
+    if D.shape[0] == 0:
+        return LinearSubspace.zero(n)
+    qr, _, tau, k = rank_revealing_qr(D, floor)
+    if k == 0:
+        return LinearSubspace.zero(n)
+    Q, _, _ = _orgqr(qr[:, :k], tau[:k])
+    return LinearSubspace(n, Q.T * np.sign(qr.diagonal()[:k, None]))
 
 
 @dataclass(frozen=True)
@@ -179,12 +212,14 @@ class AffineSubspace:
 
     @classmethod
     def from_points(cls, points):
-        """Affine hull of a nonempty collection of points."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if pts.shape[0] == 0:
-            raise ValueError("at least one point required")
-        direction = orthonormal_basis(pts[1:] - pts[0], dim=pts.shape[1])
-        return cls(pts[0], direction)
+        """Affine hull of a nonempty collection of points.
+
+        The circumcenter's rank rule: :func:`rank_revealing_qr` of p_j - p_1
+        with the points' :func:`noise_floor`, so rounding spans no direction.
+        """
+        P = as_points(points)
+        floor = noise_floor(P.shape[1], (P * P).sum(axis=1).max())
+        return cls(P[0], _row_span(P[1:] - P[0], floor))
 
     @property
     def ambient_dim(self) -> int:

@@ -220,8 +220,7 @@ def save_problem_set(ps: ProblemSet, path) -> None:
 
 def _load_subspace(n: int, basis_rows, anchor, label: str) -> AffineSubspace:
     try:
-        basis = np.asarray(basis_rows, dtype=float).reshape(-1, n)
-        direction = LinearSubspace(n, basis)
+        direction = LinearSubspace(n, np.asarray(basis_rows, dtype=float))
         return AffineSubspace(np.asarray(anchor, dtype=float), direction)
     except (TypeError, ValueError) as exc:
         raise ProblemSetFormatError(f"invalid subspace {label}: {exc}") from exc

@@ -19,8 +19,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .circumcenter import noise_floor, proper_circumcenter
-from .linalg import as_affine, as_vector, intersect_all
+from .circumcenter import proper_circumcenter
+from .linalg import as_affine, as_vector, intersect_all, noise_floor
 
 SOLVER_KINDS = (
     "crm_s1",

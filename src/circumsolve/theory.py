@@ -24,7 +24,6 @@ from .linalg import (
     as_vector,
     intersect,
     intersect_all,
-    orthonormal_basis,
 )
 
 _ORTHOGONALITY_TOL = 1e-10
@@ -363,7 +362,8 @@ def circumcenter_map(S: OperatorSet, x) -> np.ndarray:
 def circumcenter_via_fixpoint(S: OperatorSet, x, W: AffineSubspace) -> np.ndarray:
     """Circumcenter through a known subset W of the common fixed set.
 
-    Computes P_W x and projects it onto the affine hull of S(x); agrees with
+    Computes P_W x and projects it onto the affine hull of S(x), as
+    :meth:`AffineSubspace.from_points` builds it; agrees with
     :func:`circumcenter_map` whenever W really lies inside the common fixed
     set, which is verified here by sampling points of W.
     """
@@ -373,13 +373,7 @@ def circumcenter_via_fixpoint(S: OperatorSet, x, W: AffineSubspace) -> np.ndarra
         for w in samples:
             if np.linalg.norm(op(w) - w) > FEAS_TOL * (1.0 + np.linalg.norm(w)):
                 raise ValueError("W is not contained in the common fixed set")
-    w = W.project(x)
-    pts = S.points(x)
-    p0 = pts[0]
-    hull_dir = orthonormal_basis(pts[1:] - p0, dim=len(p0)) if len(pts) > 1 else None
-    if hull_dir is None or hull_dir.dim == 0:
-        return p0.copy()
-    return p0 + hull_dir.project(w - p0)
+    return AffineSubspace.from_points(S.points(x)).project(W.project(x))
 
 
 def lift_to_product(subspaces) -> tuple[AffineSubspace, AffineSubspace]:

@@ -458,16 +458,25 @@ def test_a_singular_gram_matrix_needs_no_least_squares(monkeypatch):
     np.testing.assert_allclose(r.value, [0.5, 5e-10], atol=1e-9)
 
 
+@pytest.mark.parametrize(
+    "entry", [circumcenter_points, circumcenter_oracle, AffineSubspace.from_points],
+    ids=["points", "oracle", "from_points"],
+)
+def test_every_point_set_entry_rejects_an_array_of_more_than_two_dimensions(entry):
+    with pytest.raises(ValueError, match="one point a row"):
+        entry(np.zeros((2, 2, 2)))
+
+
 def _no_factorisation(*args, **kwargs):
     raise AssertionError("a closed-form circumcenter ran a factorisation")
 
 
 @pytest.mark.parametrize("seed", [60, 61, 62])
 def test_two_point_circumcenter_is_the_midpoint_without_a_factorisation(monkeypatch, seed):
-    from circumsolve import circumcenter
+    from circumsolve import circumcenter, linalg
 
-    for name in ("_geqp3", "_trtrs"):
-        monkeypatch.setattr(circumcenter, name, _no_factorisation)
+    monkeypatch.setattr(linalg, "_geqp3", _no_factorisation)
+    monkeypatch.setattr(circumcenter, "_trtrs", _no_factorisation)
     rng = np.random.default_rng(seed)
     P = rng.standard_normal((2, 40)) * 10.0 ** rng.integers(-6, 7)
     r = circumcenter_points(P)
@@ -507,10 +516,10 @@ def test_two_tiny_points_have_a_circumcenter():
 
 @pytest.mark.parametrize("seed", [63, 64, 65])
 def test_triangle_circumcenter_is_solved_without_a_factorisation(monkeypatch, seed):
-    from circumsolve import circumcenter
+    from circumsolve import circumcenter, linalg
 
-    for name in ("_geqp3", "_trtrs"):
-        monkeypatch.setattr(circumcenter, name, _no_factorisation)
+    monkeypatch.setattr(linalg, "_geqp3", _no_factorisation)
+    monkeypatch.setattr(circumcenter, "_trtrs", _no_factorisation)
     rng = np.random.default_rng(seed)
     P = rng.standard_normal((3, 100)) * 10.0 ** rng.integers(-6, 7)
     r = circumcenter_points(P)
@@ -608,16 +617,16 @@ def test_rank_two_sets_agree_with_the_oracle_to_eps_over_sin(n, flatness, apex, 
     ids=["inside-margin", "far-inside-margin", "below-rank-tol", "below-noise-floor"],
 )
 def test_a_triangle_inside_the_margin_takes_the_qr_path(monkeypatch, points, center):
-    from circumsolve import circumcenter
+    from circumsolve import linalg
 
     calls = []
-    geqp3 = circumcenter._geqp3
+    geqp3 = linalg._geqp3
 
     def counting(*args, **kwargs):
         calls.append(1)
         return geqp3(*args, **kwargs)
 
-    monkeypatch.setattr(circumcenter, "_geqp3", counting)
+    monkeypatch.setattr(linalg, "_geqp3", counting)
     r = circumcenter_points(np.array(points, dtype=float))
     assert calls
     if center is None:

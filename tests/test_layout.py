@@ -1,4 +1,5 @@
-"""The package layout: the solver path never imports the theory module."""
+"""The package layout: the solver path never imports the theory module, and
+one module makes the rank decision."""
 
 import ast
 from pathlib import Path
@@ -41,3 +42,20 @@ def test_the_solver_path_imports_only_the_solver_path(module):
 def test_the_theory_module_is_outside_the_solver_path():
     assert "theory" in _package_imports("__init__")
     assert not (PACKAGE / "operators.py").exists()
+
+
+def _names_geqp3(module):
+    # code that fetches or calls LAPACK geqp3, not prose that mentions it
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and node.value in ("geqp3", "dgeqp3"):
+            return True
+        name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+        if isinstance(name, str) and "geqp3" in name:
+            return True
+    return False
+
+
+def test_only_linalg_fetches_the_rank_revealing_qr():
+    modules = sorted(p.stem for p in PACKAGE.glob("*.py"))
+    assert [m for m in modules if _names_geqp3(m)] == ["linalg"]

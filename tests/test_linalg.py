@@ -15,7 +15,7 @@ from circumsolve.linalg import (
 )
 from circumsolve import linalg
 from circumsolve.problems import ProblemSpec, gen_subspace_pair, generate_problem_set
-from circumsolve.theory import lift_to_product
+from circumsolve.theory import lift_to_product, reflection_set
 
 
 def test_orthonormal_basis_drops_duplicate_direction():
@@ -486,6 +486,49 @@ def test_non_orthonormal_basis_rejected():
 def test_orthonormal_basis_normalises_a_vector_whose_squares_underflow():
     B = orthonormal_basis([(0.0, 0.0, 2.6298583924242025e-162)])
     assert np.array_equal(B.basis, [[0.0, 0.0, 1.0]])
+
+
+def test_a_basis_must_have_one_row_of_the_ambient_dimension_per_vector():
+    # [[1, 0, 0, 1]] once reshaped silently into the identity of R^2
+    for basis in ([[1.0, 0.0, 0.0, 1.0]], [1.0, 0.0], np.zeros((1, 1, 2)), np.zeros((0, 3))):
+        with pytest.raises(ValueError, match="k x 2"):
+            LinearSubspace(2, np.asarray(basis))
+    assert LinearSubspace(2, np.asarray([])).dim == 0  # how a zero subspace is saved
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 12),
+    m=st.integers(1, 8),
+    rank=st.integers(0, 8),
+    exponent=st.integers(-160, 160),
+)
+def test_orthonormal_basis_has_the_rank_of_its_input_at_every_scale(seed, n, m, rank, exponent):
+    # at 1e-160 the squares of the entries underflow, at 1e160 those of the
+    # norms overflow; a rank-r product of Gaussian factors keeps rank r
+    rank = min(rank, m, n)
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n)) * 10.0**exponent
+    L = orthonormal_basis(A, dim=n)
+    assert L.dim == rank
+    assert np.abs(L.basis @ L.basis.T - np.eye(rank)).max(initial=0.0) <= 1e-12
+    resid = A - (A @ L.basis.T) @ L.basis
+    assert np.abs(resid).max(initial=0.0) <= 1e-12 * np.abs(A).max(initial=0.0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_the_images_of_a_fixed_point_span_a_zero_dimensional_hull(seed):
+    # two 3-dimensional subspaces of R^6 sharing a line: S_3(x) of a point of
+    # the line is four copies of x up to rounding, which once spanned R^3
+    rng = np.random.default_rng(seed)
+    shared = rng.standard_normal(6)
+    U1, U2 = (orthonormal_basis(np.vstack([shared, rng.standard_normal((2, 6))])) for _ in range(2))
+    S = reflection_set("s3", [U1, U2])
+    x = S.fixed.project(rng.standard_normal(6))
+    pts = S.points(x)
+    assert np.ptp(pts, axis=0).max() > 0.0
+    assert AffineSubspace.from_points(pts).direction.dim == 0
 
 
 def test_zero_anchor_projection_equals_the_full_formula():

@@ -5,6 +5,7 @@ import pytest
 
 from circumsolve.linalg import LinearSubspace, friedrichs_cosine, intersect_all, orthonormal_basis
 from circumsolve.problems import (
+    FORMAT_VERSION,
     ProblemSetFormatError,
     ProblemSpec,
     X0_NORM,
@@ -146,6 +147,20 @@ def test_load_rejects_non_orthonormal_basis(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ProblemSetFormatError, match="pair000 U2"):
         load_problem_set(path)
+
+
+def test_load_rejects_a_basis_row_of_the_wrong_length(tmp_path):
+    pair = {"id": "p0", "cF": 0.0, "U1_basis": [[1, 0, 0, 1]], "U2_basis": [],
+            "anchors": [[0, 0], [0, 0]], "points": []}
+    doc = {"version": FORMAT_VERSION, "seed": 0, "n": 2, "pairs": [pair]}
+    path = tmp_path / "reshaped.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ProblemSetFormatError, match="p0 U1"):
+        load_problem_set(path)
+    pair["U1_basis"] = [[1, 0], [0, 1]]
+    path.write_text(json.dumps(doc))
+    loaded = load_problem_set(path).pairs[0]
+    assert (loaded.u1.direction.dim, loaded.u2.direction.dim) == (2, 0)
 
 
 def test_load_rejects_corrupt_numbers(tmp_path):

@@ -8,7 +8,7 @@ from circumsolve.linalg import (
     intersect_all,
     orthonormal_basis,
 )
-from circumsolve import circumcenter, solvers
+from circumsolve import linalg, solvers
 from circumsolve.solvers import (
     SOLVER_KINDS,
     DivergenceError,
@@ -474,7 +474,7 @@ def _refuse_qr(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a reduced step ran the rank-revealing QR")
 
-    monkeypatch.setattr(circumcenter, "_geqp3", refuse)
+    monkeypatch.setattr(linalg, "_geqp3", refuse)
 
 
 def _reduction_pair(anchored, seed=52, n=30):
