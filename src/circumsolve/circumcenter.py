@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .linalg import RANK_TOL, as_points, noise_floor, rank_revealing_qr
+from .linalg import RANK_TOL, as_points, noise_floor, points_floor, rank_revealing_qr
 
 CC_TOL = 1e-8
 
@@ -46,19 +46,27 @@ class CircumcenterResult:
         return self.value is not None
 
 
-def _accept(candidate: np.ndarray, P: np.ndarray) -> CircumcenterResult:
+def _misfit(candidate: np.ndarray, P: np.ndarray) -> tuple[float, float]:
+    """The mean distance from ``candidate`` to the rows of ``P`` and the largest deviation from it."""
     E = P - candidate
-    # the distances of np.linalg.norm(E, axis=1), without its argument
-    # handling; the mean and the largest deviation are taken on the few row
-    # values in Python
-    dists = [math.sqrt(s) for s in (E * E).sum(axis=1).tolist()]
+    E *= E
+    # the distances of np.linalg.norm(E, axis=1), (E * E).sum(axis=1), without
+    # its argument handling; the mean and the largest deviation are taken on
+    # the few row values in Python
+    dists = [math.sqrt(s) for s in np.add.reduce(E, axis=1).tolist()]
     radius = sum(dists) / len(dists)
-    residual = max(abs(d - radius) for d in dists)
-    # max() keeps an inf that comes before a NaN, so a distance that
-    # overflowed or is NaN must be caught by the radius, which it poisons
-    if math.isfinite(radius) and residual <= CC_TOL * (1.0 + radius):
-        return CircumcenterResult(candidate, radius, residual)
-    return CircumcenterResult(None, radius, residual)
+    return radius, max(max(dists) - radius, radius - min(dists))
+
+
+def _fits(radius: float, residual: float) -> bool:
+    # a distance that overflowed or is NaN poisons the radius, which must be
+    # finite; a NaN residual fails the comparison
+    return math.isfinite(radius) and residual <= CC_TOL * (1.0 + radius)
+
+
+def _accept(candidate: np.ndarray, P: np.ndarray) -> CircumcenterResult:
+    radius, residual = _misfit(candidate, P)
+    return CircumcenterResult(candidate if _fits(radius, residual) else None, radius, residual)
 
 
 _TINY = float(np.finfo(float).tiny)
@@ -71,22 +79,24 @@ _TINY = float(np.finfo(float).tiny)
 TRIANGLE_MARGIN = 1e-6
 
 
-def _circumcenter(P: np.ndarray) -> CircumcenterResult:
-    """The Gram-system circumcenter of the rows of a checked, finite ``P``.
+def _candidate(P: np.ndarray) -> np.ndarray:
+    """The Gram-system candidate centre of the rows of a checked, finite ``P``.
 
-    Two points give their midpoint, a clearly non-flat triangle (see
-    ``TRIANGLE_MARGIN``) Cramer's rule; everything else is solved on the R
-    factor of the rank-revealing QR.  Every candidate takes the same
-    equidistance test.
+    One point is its own centre, two give their midpoint, a clearly non-flat
+    triangle (see ``TRIANGLE_MARGIN``) Cramer's rule; everything else is
+    solved on the R factor of the rank-revealing QR.  Every candidate then
+    takes the same equidistance test.
     """
     p0 = P[0]
     D = P[1:] - p0
-    if D.shape[0] == 0:
-        return CircumcenterResult(p0.copy(), 0.0, 0.0)
-    if D.shape[0] == 1:
-        return _accept(p0 + 0.5 * D[0], P)
-    if D.shape[0] == 2:
-        (g11, g12), (_, g22) = (D @ D.T).tolist()
+    m = D.shape[0]
+    if m == 0:
+        return p0.copy()
+    if m == 1:
+        return p0 + 0.5 * D[0]
+    if m == 2:
+        # D @ D.T, the same BLAS call with less dispatch
+        (g11, g12), (_, g22) = D.dot(D.T).tolist()
         big = max(g11, g22)
         det = g11 * g22 - g12 * g12
         limit = TRIANGLE_MARGIN * (big * big)
@@ -98,29 +108,30 @@ def _circumcenter(P: np.ndarray) -> CircumcenterResult:
         # (differences of 1e77 or more), NaN entries and big = 0 all fail
         # these comparisons and fall through to the QR path
         if limit >= _TINY and det > limit and det > 4.0 * floor * floor * big:
-            d1, d2 = D
             a1 = 0.5 * g22 * (g11 - g12) / det
             a2 = 0.5 * g11 * (g22 - g12) / det
-            return _accept(p0 + a1 * d1 + a2 * d2, P)
+            # p0 + a1 * D[0] + a2 * D[1] in place, with the same roundings
+            c = D[0] * a1
+            c += p0
+            D[1] *= a2
+            c += D[1]
+            return c
 
     # differences below the rounding noise of the points themselves are
     # treated as zero, otherwise a noise row can poison the Gram system
-    floor = noise_floor(P.shape[1], (P * P).sum(axis=1).max())
-    qr, jpvt, _, k = rank_revealing_qr(D, floor)
+    qr, jpvt, _, k = rank_revealing_qr(D, points_floor(P))
     if k == 0:
-        candidate = p0.copy()
-    else:
-        # G = Dc Dc^T = R^T R on the kept k x k block of the factor, so two
-        # triangular solves give the coefficients.  Dividing both by
-        # s = |R_11| keeps every square in range; the right-hand side is
-        # |d_j|^2 / s^2, so beta = 2 alpha and the candidate undoes 1/2 and s
-        s = abs(float(qr[0, 0]))
-        Dc = D.take(jpvt[:k] - 1, axis=0) / s
-        R = qr[:k, :k] / s
-        y, _ = _trtrs(R, np.einsum("ij,ij->i", Dc, Dc), trans=1)
-        beta, _ = _trtrs(R, y)
-        candidate = p0 + (beta @ Dc) * (0.5 * s)
-    return _accept(candidate, P)
+        return p0.copy()
+    # G = Dc Dc^T = R^T R on the kept k x k block of the factor, so two
+    # triangular solves give the coefficients.  Dividing both by
+    # s = |R_11| keeps every square in range; the right-hand side is
+    # |d_j|^2 / s^2, so beta = 2 alpha and the candidate undoes 1/2 and s
+    s = abs(float(qr[0, 0]))
+    Dc = D.take(jpvt[:k] - 1, axis=0) / s
+    R = qr[:k, :k] / s
+    y, _ = _trtrs(R, np.einsum("ij,ij->i", Dc, Dc), trans=1)
+    beta, _ = _trtrs(R, y)
+    return p0 + (beta @ Dc) * (0.5 * s)
 
 
 def circumcenter_points(points) -> CircumcenterResult:
@@ -136,7 +147,8 @@ def circumcenter_points(points) -> CircumcenterResult:
     rule, with no factorisation.  A candidate that is not equidistant from
     all the points, a non-finite distance included, gives an empty result.
     """
-    return _circumcenter(as_points(points))
+    P = as_points(points)
+    return _accept(_candidate(P), P)
 
 
 def circumcenter_oracle(points) -> CircumcenterResult:
@@ -176,11 +188,12 @@ def proper_circumcenter(P: np.ndarray) -> np.ndarray:
     :func:`circumsolve.theory.circumcenter_map`.  Raises
     :class:`CircumcenterError` when no equidistant point is found.
     """
-    res = _circumcenter(P)
-    if res.value is None:
-        raise CircumcenterError(
-            "properness violated numerically: no equidistant point found "
-            f"(residual {res.residual:.3e}, radius {res.radius:.3e}); "
-            "the operator set may not consist of isometries"
-        )
-    return res.value
+    candidate = _candidate(P)
+    radius, residual = _misfit(candidate, P)
+    if _fits(radius, residual):
+        return candidate
+    raise CircumcenterError(
+        "properness violated numerically: no equidistant point found "
+        f"(residual {residual:.3e}, radius {radius:.3e}); "
+        "the operator set may not consist of isometries"
+    )

@@ -63,6 +63,23 @@ def noise_floor(n: int, sq_norm: float) -> float:
     return 64.0 * n * _EPS * math.sqrt(sq_norm)
 
 
+def points_floor(P: np.ndarray) -> float:
+    """The :func:`noise_floor` of the rows of a checked, finite ``P``.
+
+    It is taken from the largest squared row norm.  When that sum overflows
+    (entries of about 1e154 and up; numpy warns of the overflow) it is taken
+    from the rows divided by their largest entry and scaled back, so the
+    floor stays finite and drops no difference that is not noise.
+    """
+    n = P.shape[1]
+    sq = (P * P).sum(axis=1).max()
+    if math.isfinite(sq):
+        return noise_floor(n, sq)
+    scale = float(np.abs(P).max())
+    Q = P / scale
+    return noise_floor(n, (Q * Q).sum(axis=1).max()) * scale
+
+
 def rank_revealing_qr(D: np.ndarray, floor: float):
     """The one rank rule: ``geqp3``'s factor, 1-based pivots and tau, and the rank.
 
@@ -215,10 +232,11 @@ class AffineSubspace:
         """Affine hull of a nonempty collection of points.
 
         The circumcenter's rank rule: :func:`rank_revealing_qr` of p_j - p_1
-        with the points' :func:`noise_floor`, so rounding spans no direction.
+        with the points' :func:`points_floor`, so rounding spans no direction.
         """
         P = as_points(points)
-        floor = noise_floor(P.shape[1], (P * P).sum(axis=1).max())
+        with np.errstate(over="ignore"):
+            floor = points_floor(P)
         return cls(P[0], _row_span(P[1:] - P[0], floor))
 
     @property
@@ -227,15 +245,23 @@ class AffineSubspace:
 
     # ``_project`` and ``_reflect`` are the arithmetic of ``project`` and
     # ``reflect`` for a vector already checked to lie in R^n; the solvers'
-    # steps and the operator-set chains apply them to their iterates; with a
-    # zero anchor, x - anchor and anchor + y are x and y up to the sign of a zero
+    # steps and the operator-set chains apply them to their iterates.  They
+    # inline LinearSubspace._project, whose zero subspace gives the zeros that
+    # B^T (B x) gives for an empty B; with a zero anchor, x - anchor and
+    # anchor + y are x and y up to the sign of a zero
     def _project(self, x: np.ndarray) -> np.ndarray:
+        B = self.direction.basis
         if self.through_origin:
-            return self.direction._project(x)
-        return self.anchor + self.direction._project(x - self.anchor)
+            return B.T @ (B @ x)
+        a = self.anchor
+        return a + B.T @ (B @ (x - a))
 
     def _reflect(self, x: np.ndarray) -> np.ndarray:
-        return 2.0 * self._project(x) - x
+        # 2 P x - x, doubled and subtracted in place on the fresh P x
+        y = self._project(x)
+        y *= 2.0
+        y -= x
+        return y
 
     def project(self, x) -> np.ndarray:
         return self._project(as_vector(x, self.ambient_dim))

@@ -102,6 +102,10 @@ class Solver(NamedTuple):
     monitor: Callable
 
 
+def _identity(x):
+    return x
+
+
 def iterate(step, x0, cfg: IterationConfig, reference, monitor=None) -> Trace:
     """Run ``x_{k+1} = step(x_k)`` until the monitored error reaches tol.
 
@@ -114,21 +118,28 @@ def iterate(step, x0, cfg: IterationConfig, reference, monitor=None) -> Trace:
     """
     x = np.asarray(x0, dtype=float)
     reference = np.asarray(reference, dtype=float)
+    # with no monitor, or the solvers' identity one, the error is x's own
+    plain = monitor is None or monitor is _identity
     errors: list[float] = []
     iterates: list[np.ndarray] | None = [] if cfg.record_trace else None
     last_finite = None
     k = 0
     start = time.perf_counter()
     while True:
-        # a finite sum of squares proves x finite; one that is not may have
-        # only overflowed, so the entries decide
-        if not math.isfinite(x.dot(x)) and not np.isfinite(x).all():
+        err = math.inf
+        if plain:
+            gap = x - reference
+            err = math.sqrt(gap.dot(gap))  # np.linalg.norm(gap), without its argument handling
+        # a finite plain error proves x finite, and so does a finite sum of
+        # squares; one that is not may have only overflowed, so the entries decide
+        if not err < math.inf and not math.isfinite(x.dot(x)) and not np.isfinite(x).all():
             raise DivergenceError(f"iterate {k} is not finite", last_finite)
         last_finite = x
         if iterates is not None:
             iterates.append(x)
-        gap = (monitor(x) if monitor is not None else x) - reference
-        err = math.sqrt(gap.dot(gap))  # np.linalg.norm(gap), without its argument handling
+        if not plain:
+            gap = monitor(x) - reference
+            err = math.sqrt(gap.dot(gap))
         errors.append(err)
         if err <= cfg.tol:
             solved = True
@@ -183,11 +194,14 @@ def make_solver(spec: SolverSpec, subspaces) -> Solver:
     avg-proj and product-crm accept two or more.  A CRM step takes the
     circumcenter of the rows of :func:`~circumsolve.theory.reflection_set`
     at x, made from the subspaces' reflections: t for s1 and s2, 3 for s3
-    and 5 for s4.  From the first step on, an s3 iterate lies in U_2 and an
-    s4 iterate in U_1, as these sets are closed under R_2 and R_1; where the
-    step finds R_2 x = x (s3) or R_1 x = x (s4) within the circumcenter
-    noise floor, it takes the three-point C-DRM set {x, R_1 x, R_2 R_1 x}
-    (s3) or {x, R_2 x, R_1 R_2 x} (s4), for 3 reflections.  ``product-crm``
+    and 5 for s4.  An s3 step's output lies in U_2 and an s4 step's in U_1,
+    as these sets are closed under R_2 and R_1, and there the set reduces to
+    the three-point C-DRM set {x, R_1 x, R_2 R_1 x} (s3) or
+    {x, R_2 x, R_1 R_2 x} (s4).  The step keeps its last output, read-only,
+    and takes that set for it with 2 reflections.  Any other x takes it, for
+    3 reflections, when the step finds R_2 x = x (s3) or R_1 x = x (s4)
+    within the circumcenter noise floor, and the full set otherwise; so a
+    projected start or a reused solver behaves as a fresh one.  ``product-crm``
     is the two-set CRM {Id, R_C R_D} on Pierra's lift
     (:func:`~circumsolve.theory.lift_to_product`) in closed form: P_D
     averages the t blocks and R_C reflects block i through the i-th
@@ -212,7 +226,6 @@ def make_solver(spec: SolverSpec, subspaces) -> Solver:
     # input is checked here, once: init checks the starting point and the
     # steps and monitors below work on the iterates without re-checking them
     U1 = subs[0]
-    identity = lambda x: x
     init = lambda x0: as_vector(x0, n)
 
     if spec.kind == "map":
@@ -221,7 +234,7 @@ def make_solver(spec: SolverSpec, subspaces) -> Solver:
         def step(x):
             return p2(p1(x))
 
-        return Solver(init, step, identity)
+        return Solver(init, step, _identity)
 
     if spec.kind == "avg_proj":
         project = _project_rows(subs)
@@ -230,7 +243,7 @@ def make_solver(spec: SolverSpec, subspaces) -> Solver:
             # the sum over axis 0 adds the rows in order, as a loop would
             return project(x).sum(axis=0) / t
 
-        return Solver(init, step, identity)
+        return Solver(init, step, _identity)
 
     if not all(s.through_origin for s in subs) and intersect_all(subs) is None:
         raise ValueError("common fixed set is empty")
@@ -263,45 +276,67 @@ def make_solver(spec: SolverSpec, subspaces) -> Solver:
         project = _project_rows(subs)
 
         def step(x):
+            # rows x and R_i x = 2 P_i x - x, the reflections made in place
             P = np.empty((t + 1, n))
             P[0] = x
-            P[1:] = 2.0 * project(x) - x
+            R = P[1:]
+            np.multiply(project(x), 2.0, out=R)
+            R -= x
             return proper_circumcenter(P)
 
-        return Solver(init, step, identity)
+        return Solver(init, step, _identity)
 
     # the rows of reflection_set(kind, subs) at x, each reflection made once
     if spec.kind == "crm_s2":
-        def images(x):
+        def step(x):
             rows = [x]
             for r in reflect:
                 rows.append(r(rows[-1]))
-            return rows
+            return proper_circumcenter(np.array(rows))
+
+        return Solver(init, step, _identity)
+
+    # the reduction of the docstring; a row within the noise floor of x is
+    # one the rank filter of the full set would drop anyway
+    r1, r2 = reflect
+
+    def fixes(x, y):
+        d = y - x
+        return math.sqrt(d.dot(d)) <= noise_floor(n, max(x.dot(x), y.dot(y)))
+
+    if spec.kind == "crm_s3":
+        first, second = r1, r2
+
+        def images(x):
+            a, b = r1(x), r2(x)
+            c = r2(a)
+            return [x, a, c] if fixes(x, b) else [x, a, b, c]
 
     else:
-        # the reduction of the docstring; a row within the noise floor of x
-        # is one the rank filter of the full set would drop anyway
-        r1, r2 = reflect
+        first, second = r2, r1
 
-        def fixes(x, y):
-            d = y - x
-            return math.sqrt(d.dot(d)) <= noise_floor(n, max(x.dot(x), y.dot(y)))
+        def images(x):
+            a, b = r1(x), r2(x)
+            if fixes(x, a):
+                return [x, b, r1(b)]
+            c = r2(a)
+            return [x, a, b, c, r1(b), r1(c)]
 
-        if spec.kind == "crm_s3":
-            def images(x):
-                a, b = r1(x), r2(x)
-                c = r2(a)
-                return [x, a, c] if fixes(x, b) else [x, a, b, c]
-
-        else:
-            def images(x):
-                a, b = r1(x), r2(x)
-                if fixes(x, a):
-                    return [x, b, r1(b)]
-                c = r2(a)
-                return [x, a, b, c, r1(b), r1(c)]
+    # the step's own last output lies in the closing subspace by the lemma,
+    # so it takes the C-DRM set with no test; it is read-only, so x is last
+    # only while it still holds those bits.  Any other x takes images(x),
+    # which gives the same set whenever the test finds x in that subspace
+    last = None
 
     def step(x):
-        return proper_circumcenter(np.array(images(x)))
+        nonlocal last
+        if x is last:
+            a = first(x)
+            P = np.array([x, a, second(a)])
+        else:
+            P = np.array(images(x))
+        last = proper_circumcenter(P)
+        last.setflags(write=False)
+        return last
 
-    return Solver(init, step, identity)
+    return Solver(init, step, _identity)

@@ -553,3 +553,22 @@ def test_a_tiny_nonzero_anchor_takes_the_full_projection():
     x = np.array([1.5, -2.0, 3.0, 4.0])
     assert np.array_equal(A._project(x), A.anchor + L._project(x - A.anchor))
     assert np.array_equal(A._project(x), [1.5, -2.0, 1e-300, 0.0])
+
+
+@pytest.mark.parametrize("exponent", [150, 155, 160, 200, 250, 300])
+def test_a_two_point_hull_keeps_its_line_when_the_squares_overflow(exponent):
+    # from about 1e154 the points' largest squared norm is inf, and an
+    # infinite noise floor once dropped the one difference
+    s = 10.0**exponent
+    H = AffineSubspace.from_points([[0.0, 0.0], [s, 0.0]])
+    assert H.direction.dim == 1
+    np.testing.assert_array_equal(np.abs(H.direction.basis), [[1.0, 0.0]])
+
+
+def test_the_points_floor_scales_with_the_points():
+    P = np.random.default_rng(5).standard_normal((4, 7))
+    assert linalg.points_floor(P) == linalg.noise_floor(7, (P * P).sum(axis=1).max())
+    with np.errstate(over="ignore"):
+        big = linalg.points_floor(P * 1e200)
+    assert np.isfinite(big)
+    assert abs(big / 1e200 - linalg.points_floor(P)) <= 1e-14 * linalg.points_floor(P)

@@ -477,8 +477,8 @@ def _refuse_qr(monkeypatch):
     monkeypatch.setattr(linalg, "_geqp3", refuse)
 
 
-def _reduction_pair(anchored, seed=52, n=30):
-    spec = ProblemSpec(n=n, cf_range=(0.6, 0.95), pairs=1, points_per_pair=0, seed=seed)
+def _reduction_pair(anchored, seed=52, n=30, cf_range=(0.6, 0.95)):
+    spec = ProblemSpec(n=n, cf_range=cf_range, pairs=1, points_per_pair=0, seed=seed)
     L1, L2, _ = gen_subspace_pair(spec, 0)
     rng = np.random.default_rng(seed)
     z = 3.0 * rng.standard_normal(n) if anchored else np.zeros(n)
@@ -515,6 +515,9 @@ def test_crm_s4_steps_in_u1_are_reversed_crm_s2_steps(monkeypatch, anchored, sta
 @pytest.mark.parametrize("anchored", [False, True], ids=["linear", "anchored"])
 @pytest.mark.parametrize("kind, generic", [("crm_s3", 3), ("crm_s4", 5)])
 def test_a_step_in_the_closing_subspace_makes_three_reflections(monkeypatch, anchored, kind, generic):
+    # a point of the closing subspace that the step did not make takes the
+    # test reflection; the step's own last output is known to lie there and
+    # takes the two of the C-DRM set
     calls = []
     reflect = AffineSubspace._reflect
 
@@ -524,11 +527,52 @@ def test_a_step_in_the_closing_subspace_makes_three_reflections(monkeypatch, anc
 
     monkeypatch.setattr(AffineSubspace, "_reflect", counting)
     U1, U2, x0 = _reduction_pair(anchored)
+    closing = U2 if kind == "crm_s3" else U1
     s = make_solver(SolverSpec(kind), [U1, U2])
     x1 = s.step(x0)
-    calls.clear()
-    s.step(x1)
-    assert len(calls) == 3
-    calls.clear()
-    s.step(x0)
-    assert len(calls) == generic
+    for x, made in [(x1, 2), (x1.copy(), 3), (closing.project(x0), 3), (x0, generic)]:
+        calls.clear()
+        s.step(x)
+        assert len(calls) == made
+
+
+@pytest.mark.parametrize("anchored", [False, True], ids=["linear", "anchored"])
+@pytest.mark.parametrize("kind", ["crm_s3", "crm_s4"])
+@pytest.mark.parametrize("cf_range", [(0.5, 0.9), (0.99, 0.999), (0.999, 0.9999)])
+def test_steady_steps_stay_in_the_closing_subspace(anchored, kind, cf_range):
+    # the lemma behind the two-reflection step: over a long run every iterate
+    # is its own reflection through U_2 (U_1 for s4) within the noise floor
+    # the full set tests, and each step has the bits of that full step
+    U1, U2, x = _reduction_pair(anchored, cf_range=cf_range)
+    closing = U2 if kind == "crm_s3" else U1
+    s = make_solver(SolverSpec(kind), [U1, U2])
+    x = s.step(x)
+    for _ in range(200):
+        y = closing.reflect(x)
+        floor = linalg.noise_floor(x.size, max(x.dot(x), y.dot(y)))
+        assert np.linalg.norm(y - x) <= floor
+        nxt = s.step(x)
+        assert np.array_equal(nxt, make_solver(SolverSpec(kind), [U1, U2]).step(x.copy()))
+        x = nxt
+
+
+@pytest.mark.parametrize("kind", ["crm_s3", "crm_s4"])
+def test_a_reused_solver_restarts_with_the_full_set(kind):
+    U1, U2, x0 = _reduction_pair(True, cf_range=(0.9, 0.95))
+    s = make_solver(SolverSpec(kind), [U1, U2])
+    inter = intersect(U1, U2)
+    cfg = IterationConfig(tol=1e-9, record_trace=True)
+    runs = [iterate(s.step, s.init(x0), cfg, inter.project(x0), monitor=s.monitor) for _ in range(2)]
+    assert runs[0].solved and runs[0].iterations == runs[1].iterations
+    for a, b in zip(runs[0].iterates, runs[1].iterates):
+        assert np.array_equal(a, b)
+    fresh = make_solver(SolverSpec(kind), [U1, U2])
+    assert np.array_equal(runs[1].iterates[1], fresh.step(x0))
+
+
+@pytest.mark.parametrize("kind", ["crm_s3", "crm_s4"])
+def test_a_reduced_step_output_is_read_only(kind):
+    U1, U2, x0 = _reduction_pair(False)
+    y = make_solver(SolverSpec(kind), [U1, U2]).step(x0)
+    with pytest.raises(ValueError):
+        y[0] = 1.0
