@@ -15,9 +15,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .linalg import RANK_TOL, as_points, noise_floor, points_floor, rank_revealing_qr
+from .linalg import RANK_TOL, as_points, lapack, noise_floor, points_floor, rank_revealing_qr
 
 CC_TOL = 1e-8
 
@@ -55,6 +54,16 @@ def _misfit(candidate: np.ndarray, P: np.ndarray) -> tuple[float, float]:
     # the few row values in Python
     dists = [math.sqrt(s) for s in np.add.reduce(E, axis=1).tolist()]
     radius = sum(dists) / len(dists)
+    if not math.isfinite(radius):
+        # squares that overflow (differences of about 1e154 and up) are taken
+        # on the differences divided by their largest entry and scaled back,
+        # as points_floor does; a NaN or inf difference stays non-finite
+        E = P - candidate
+        scale = float(np.abs(E).max())
+        E /= scale
+        E *= E
+        dists = [math.sqrt(s) * scale for s in np.add.reduce(E, axis=1).tolist()]
+        radius = sum(dists) / len(dists)
     return radius, max(max(dists) - radius, radius - min(dists))
 
 
@@ -70,7 +79,11 @@ def _accept(candidate: np.ndarray, P: np.ndarray) -> CircumcenterResult:
 
 
 _TINY = float(np.finfo(float).tiny)
-(_trtrs,) = scipy.linalg.get_lapack_funcs(("trtrs",), dtype=np.float64)
+
+
+def _trtrs(*args, **kwargs):
+    return lapack("trtrs")(*args, **kwargs)
+
 
 # A triangle is solved in closed form only when its Gram determinant exceeds
 # TRIANGLE_MARGIN * max(|d_1|^2, |d_2|^2)^2, which needs sin^2 of its angle
@@ -169,6 +182,8 @@ def circumcenter_oracle(points) -> CircumcenterResult:
     D = P[1:] - p0
     if D.shape[0] == 0:
         return CircumcenterResult(p0.copy(), 0.0, 0.0)
+    import scipy.linalg
+
     B = scipy.linalg.orth(D.T, rcond=RANK_TOL).T
     if B.shape[0] == 0:
         candidate = p0.copy()

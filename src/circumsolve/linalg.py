@@ -7,11 +7,11 @@ so values may be shared freely between threads.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 # Rank decisions are made relative to the largest vector norm involved.
 RANK_TOL = 1e-10
@@ -22,7 +22,36 @@ FEAS_TOL = 1e-9
 _ORTHONORMALITY_TOL = 1e-12
 
 _EPS = float(np.finfo(float).eps)
-_geqp3, _orgqr = scipy.linalg.get_lapack_funcs(("geqp3", "orgqr"), dtype=np.float64)
+
+
+@functools.cache
+def lapack(name: str):
+    """scipy's float64 LAPACK routine ``name``, bound on its first call.
+
+    Importing scipy.linalg is most of a cold start, and generation, the JSON
+    round trip, references and the map, drm, avg-proj and product-crm solvers
+    never need it.  The routine is the one a module-level ``get_lapack_funcs``
+    binding gives, so every result keeps its bits.
+    """
+    import scipy.linalg
+
+    (routine,) = scipy.linalg.get_lapack_funcs((name,), dtype=np.float64)
+    return routine
+
+
+def bind_lapack() -> None:
+    """Bind geqp3, orgqr and trtrs now; the first binding loads scipy.linalg."""
+    for name in ("geqp3", "orgqr", "trtrs"):
+        lapack(name)
+
+
+# thin module-level names, so a test can patch or wrap the routine a caller sees
+def _geqp3(*args, **kwargs):
+    return lapack("geqp3")(*args, **kwargs)
+
+
+def _orgqr(*args, **kwargs):
+    return lapack("orgqr")(*args, **kwargs)
 
 
 def as_vector(x, dim: int | None = None) -> np.ndarray:
@@ -296,6 +325,8 @@ def orthogonal_complement(L: LinearSubspace) -> LinearSubspace:
         return LinearSubspace.full(n)
     if L.dim == n:
         return LinearSubspace.zero(n)
+    import scipy.linalg
+
     C = scipy.linalg.null_space(L.basis)
     return LinearSubspace(n, C.T)
 

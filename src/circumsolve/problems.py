@@ -194,28 +194,32 @@ def generate_problem_set(spec: ProblemSpec) -> ProblemSet:
     return ProblemSet(FORMAT_VERSION, spec.seed, spec.n, tuple(pairs))
 
 
-def save_problem_set(ps: ProblemSet, path) -> None:
-    doc = {
-        "version": ps.version,
-        "seed": ps.seed,
-        "n": ps.n,
-        "pairs": [
-            {
-                "id": pair.id,
-                "cF": pair.cF,
-                "U1_basis": pair.u1.direction.basis.tolist(),
-                "U2_basis": pair.u2.direction.basis.tolist(),
-                "anchors": [pair.u1.anchor.tolist(), pair.u2.anchor.tolist()],
-                "points": [
-                    {"x0": x0.tolist(), "reference": ref.tolist()} for x0, ref in pair.points
-                ],
-            }
-            for pair in ps.pairs
-        ],
+def _pair_doc(pair: ProblemPair) -> dict:
+    return {
+        "id": pair.id,
+        "cF": pair.cF,
+        "U1_basis": pair.u1.direction.basis.tolist(),
+        "U2_basis": pair.u2.direction.basis.tolist(),
+        "anchors": [pair.u1.anchor.tolist(), pair.u2.anchor.tolist()],
+        "points": [{"x0": x0.tolist(), "reference": ref.tolist()} for x0, ref in pair.points],
     }
+
+
+def save_problem_set(ps: ProblemSet, path) -> None:
+    """Write ``ps`` as one JSON line, the bytes of ``json.dumps(doc) + "\n"``.
+
+    The head is written first and then each pair as its own ``json.dumps``:
+    that takes the C encoder (``json.dump`` takes the pure-Python one) and
+    holds one pair's text at a time, not the whole file's.
+    """
+    head = json.dumps({"version": ps.version, "seed": ps.seed, "n": ps.n, "pairs": []})
     with open(path, "w") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+        fh.write(head[:-2])  # up to and including the "pairs" list's "["
+        for i, pair in enumerate(ps.pairs):
+            if i:
+                fh.write(", ")
+            fh.write(json.dumps(_pair_doc(pair)))
+        fh.write("]}\n")
 
 
 def _load_subspace(n: int, basis_rows, anchor, label: str) -> AffineSubspace:

@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .circumcenter import proper_circumcenter
-from .linalg import as_affine, as_vector, intersect_all, noise_floor
+from .linalg import as_affine, as_vector, bind_lapack, intersect_all, noise_floor
 
 SOLVER_KINDS = (
     "crm_s1",
@@ -271,6 +271,10 @@ def make_solver(spec: SolverSpec, subspaces) -> Solver:
             return proper_circumcenter(np.array([v, rcd.ravel()]))
 
         return Solver(lambda x: np.tile(init(x), t), step, lambda v: v[:n])
+
+    # a step on three or more points can take the circumcenter's QR route;
+    # its routines are bound here, so no timed step imports scipy.linalg
+    bind_lapack()
 
     if spec.kind == "crm_s1":
         project = _project_rows(subs)

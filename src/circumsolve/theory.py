@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .circumcenter import proper_circumcenter
 from .linalg import (
@@ -252,6 +251,8 @@ def fixed_subspace(op, dim: int | None = None):
     x, *_ = np.linalg.lstsq(A, -b, rcond=None)
     if float(np.linalg.norm(A @ x + b)) > FEAS_TOL * (1.0 + np.linalg.norm(b)):
         return None
+    import scipy.linalg
+
     null = scipy.linalg.null_space(A, rcond=RANK_TOL)
     return AffineSubspace(x, LinearSubspace(n, null.T))
 

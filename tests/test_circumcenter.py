@@ -643,6 +643,18 @@ def test_a_triangle_whose_squares_overflow_never_gives_a_wrong_centre():
     assert r.value is None or np.linalg.norm(r.value / s - (1.0, 1.0, 0.0)) <= 1e-12
 
 
+@pytest.mark.parametrize("s", [1e155, 1e160, 1e300])
+def test_a_triangle_whose_squares_overflow_has_its_centre(s):
+    # the squared distances overflow, so the equidistance test takes them on
+    # the differences divided by their largest entry
+    P = np.array([(0.0, 0.0, 0.0), (2.0, 0.0, 0.0), (0.0, 2.0, 0.0)]) * s
+    with np.errstate(over="ignore"):
+        r = circumcenter_points(P)
+    assert np.linalg.norm(r.value / s - (1.0, 1.0, 0.0)) <= 1e-12
+    assert r.radius / s == pytest.approx(np.sqrt(2.0), rel=1e-15)
+    assert r.residual <= 1e-15 * r.radius
+
+
 def test_a_tiny_triangle_has_its_centre():
     s = 1e-160
     P = np.array([(0.0, 0.0, 0.0), (2.0, 0.0, 0.0), (0.0, 2.0, 0.0)]) * s

@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from circumsolve.linalg import LinearSubspace, friedrichs_cosine, intersect_all, orthonormal_basis
+from circumsolve.linalg import AffineSubspace, LinearSubspace, friedrichs_cosine, intersect_all, orthonormal_basis
 from circumsolve.problems import (
     FORMAT_VERSION,
+    ProblemPair,
+    ProblemSet,
     ProblemSetFormatError,
     ProblemSpec,
     X0_NORM,
@@ -118,6 +120,54 @@ def test_regeneration_is_byte_identical(tmp_path):
     save_problem_set(generate_problem_set(spec), p1)
     save_problem_set(generate_problem_set(spec), p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def _one_shot_text(ps):
+    # the file as one json.dumps of the whole document
+    doc = {
+        "version": ps.version,
+        "seed": ps.seed,
+        "n": ps.n,
+        "pairs": [
+            {
+                "id": pair.id,
+                "cF": pair.cF,
+                "U1_basis": pair.u1.direction.basis.tolist(),
+                "U2_basis": pair.u2.direction.basis.tolist(),
+                "anchors": [pair.u1.anchor.tolist(), pair.u2.anchor.tolist()],
+                "points": [{"x0": x0.tolist(), "reference": ref.tolist()} for x0, ref in pair.points],
+            }
+            for pair in ps.pairs
+        ],
+    }
+    return json.dumps(doc) + "\n"
+
+
+def _anchored_pair_projection():
+    # an anchored (U_1, U_2) pair through a shared point, as the many-subspace
+    # workload's pair projection saves it, with a zero subspace and cF 0.0
+    rng = np.random.default_rng(23)
+    n = 7
+    z = rng.standard_normal(n)
+    U1 = AffineSubspace(z, orthonormal_basis(rng.standard_normal((3, n))))
+    U2 = AffineSubspace(z, LinearSubspace.zero(n))
+    points = tuple((x0, U2.anchor.copy()) for x0 in rng.standard_normal((2, n)))
+    return ProblemSet(FORMAT_VERSION, 0, n, (ProblemPair("group000", 0.0, U1, U2, points),))
+
+
+@pytest.mark.parametrize("kind", ["generated", "zero-pairs", "anchored-projection"])
+def test_a_saved_file_is_the_one_shot_json_text(tmp_path, kind):
+    if kind == "generated":
+        spec = ProblemSpec(n=11, p=3, q=4, r=1, cf_range=(0.3, 0.8), pairs=3, points_per_pair=2, seed=9)
+        ps = generate_problem_set(spec)
+    elif kind == "zero-pairs":
+        ps = ProblemSet(FORMAT_VERSION, 4, 5, ())
+    else:
+        ps = _anchored_pair_projection()
+    path = tmp_path / "ps.json"
+    save_problem_set(ps, path)
+    assert path.read_bytes() == _one_shot_text(ps).encode()
+    assert len(load_problem_set(path).pairs) == len(ps.pairs)
 
 
 def test_initial_points_have_fixed_norm_and_consistent_references():
