@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import RANK_TOL, as_points, lapack, noise_floor, points_floor, rank_revealing_qr
+from .linalg import RANK_TOL, _trtrs, as_points, noise_floor, points_floor, rank_revealing_qr, row_squares
 
 CC_TOL = 1e-8
 
@@ -47,23 +47,12 @@ class CircumcenterResult:
 
 def _misfit(candidate: np.ndarray, P: np.ndarray) -> tuple[float, float]:
     """The mean distance from ``candidate`` to the rows of ``P`` and the largest deviation from it."""
-    E = P - candidate
-    E *= E
-    # the distances of np.linalg.norm(E, axis=1), (E * E).sum(axis=1), without
-    # its argument handling; the mean and the largest deviation are taken on
-    # the few row values in Python
-    dists = [math.sqrt(s) for s in np.add.reduce(E, axis=1).tolist()]
+    # the distances of np.linalg.norm(P - candidate, axis=1), scaled when
+    # their squares overflow; the mean and the largest deviation are taken
+    # on the few row values in Python
+    sq, scale = row_squares(P - candidate)
+    dists = [math.sqrt(s) * scale for s in sq]
     radius = sum(dists) / len(dists)
-    if not math.isfinite(radius):
-        # squares that overflow (differences of about 1e154 and up) are taken
-        # on the differences divided by their largest entry and scaled back,
-        # as points_floor does; a NaN or inf difference stays non-finite
-        E = P - candidate
-        scale = float(np.abs(E).max())
-        E /= scale
-        E *= E
-        dists = [math.sqrt(s) * scale for s in np.add.reduce(E, axis=1).tolist()]
-        radius = sum(dists) / len(dists)
     return radius, max(max(dists) - radius, radius - min(dists))
 
 
@@ -79,10 +68,6 @@ def _accept(candidate: np.ndarray, P: np.ndarray) -> CircumcenterResult:
 
 
 _TINY = float(np.finfo(float).tiny)
-
-
-def _trtrs(*args, **kwargs):
-    return lapack("trtrs")(*args, **kwargs)
 
 
 # A triangle is solved in closed form only when its Gram determinant exceeds
@@ -159,9 +144,12 @@ def circumcenter_points(points) -> CircumcenterResult:
     points give their midpoint and a clearly non-flat triangle Cramer's
     rule, with no factorisation.  A candidate that is not equidistant from
     all the points, a non-finite distance included, gives an empty result.
+    Points whose squares overflow are rescaled where that matters, so
+    numpy's overflow warnings are not raised.
     """
     P = as_points(points)
-    return _accept(_candidate(P), P)
+    with np.errstate(over="ignore"):
+        return _accept(_candidate(P), P)
 
 
 def circumcenter_oracle(points) -> CircumcenterResult:

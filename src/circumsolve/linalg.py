@@ -24,8 +24,12 @@ _ORTHONORMALITY_TOL = 1e-12
 _EPS = float(np.finfo(float).eps)
 
 
+# the LAPACK routines circumsolve calls, bound on first use
+_LAPACK = ("geqp3", "orgqr", "trtrs")
+
+
 @functools.cache
-def lapack(name: str):
+def _lapack(name: str):
     """scipy's float64 LAPACK routine ``name``, bound on its first call.
 
     Importing scipy.linalg is most of a cold start, and generation, the JSON
@@ -40,18 +44,20 @@ def lapack(name: str):
 
 
 def bind_lapack() -> None:
-    """Bind geqp3, orgqr and trtrs now; the first binding loads scipy.linalg."""
-    for name in ("geqp3", "orgqr", "trtrs"):
-        lapack(name)
+    """Bind every routine in ``_LAPACK`` now; the first binding loads scipy.linalg."""
+    for name in _LAPACK:
+        _lapack(name)
 
 
-# thin module-level names, so a test can patch or wrap the routine a caller sees
-def _geqp3(*args, **kwargs):
-    return lapack("geqp3")(*args, **kwargs)
+def _bound(name: str):
+    def call(*args, **kwargs):
+        return _lapack(name)(*args, **kwargs)
+
+    return call
 
 
-def _orgqr(*args, **kwargs):
-    return lapack("orgqr")(*args, **kwargs)
+# module-level names, so a test can patch or wrap the routine a caller sees
+_geqp3, _orgqr, _trtrs = map(_bound, _LAPACK)
 
 
 def as_vector(x, dim: int | None = None) -> np.ndarray:
@@ -92,21 +98,32 @@ def noise_floor(n: int, sq_norm: float) -> float:
     return 64.0 * n * _EPS * math.sqrt(sq_norm)
 
 
+def row_squares(E: np.ndarray) -> tuple[list[float], float]:
+    """The sums of squares of the rows of ``E`` over ``scale**2``, and ``scale``.
+
+    ``scale`` is 1 and the sums are those of ``(E * E).sum(axis=1)`` unless
+    their total overflows (entries of about 1e154 and up; numpy warns of the
+    overflow unless the caller ignores it).  Then ``scale`` is the largest
+    |entry| and the sums are taken on the rows divided by it, so they stay
+    finite.  A NaN or inf entry gives non-finite sums either way.
+    """
+    sq = np.add.reduce(E * E, axis=1).tolist()
+    if math.isfinite(sum(sq)):
+        return sq, 1.0
+    scale = float(np.abs(E).max())
+    Q = E / scale
+    return np.add.reduce(Q * Q, axis=1).tolist(), scale
+
+
 def points_floor(P: np.ndarray) -> float:
     """The :func:`noise_floor` of the rows of a checked, finite ``P``.
 
-    It is taken from the largest squared row norm.  When that sum overflows
-    (entries of about 1e154 and up; numpy warns of the overflow) it is taken
-    from the rows divided by their largest entry and scaled back, so the
-    floor stays finite and drops no difference that is not noise.
+    It is taken from the largest squared row norm of :func:`row_squares`, so
+    the floor stays finite for points whose squares overflow and drops no
+    difference that is not noise.
     """
-    n = P.shape[1]
-    sq = (P * P).sum(axis=1).max()
-    if math.isfinite(sq):
-        return noise_floor(n, sq)
-    scale = float(np.abs(P).max())
-    Q = P / scale
-    return noise_floor(n, (Q * Q).sum(axis=1).max()) * scale
+    sq, scale = row_squares(P)
+    return noise_floor(P.shape[1], max(sq)) * scale
 
 
 def rank_revealing_qr(D: np.ndarray, floor: float):

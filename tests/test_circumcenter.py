@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -646,13 +647,27 @@ def test_a_triangle_whose_squares_overflow_never_gives_a_wrong_centre():
 @pytest.mark.parametrize("s", [1e155, 1e160, 1e300])
 def test_a_triangle_whose_squares_overflow_has_its_centre(s):
     # the squared distances overflow, so the equidistance test takes them on
-    # the differences divided by their largest entry
+    # the differences divided by their largest entry, and no numpy warning
+    # of the overflow reaches the caller
     P = np.array([(0.0, 0.0, 0.0), (2.0, 0.0, 0.0), (0.0, 2.0, 0.0)]) * s
-    with np.errstate(over="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         r = circumcenter_points(P)
     assert np.linalg.norm(r.value / s - (1.0, 1.0, 0.0)) <= 1e-12
     assert r.radius / s == pytest.approx(np.sqrt(2.0), rel=1e-15)
     assert r.residual <= 1e-15 * r.radius
+
+
+@pytest.mark.parametrize("s", [1e155, 1e160, 1e300])
+def test_a_square_whose_squares_overflow_has_its_centre(s):
+    # four points take the QR route, whose noise floor is scaled the same way
+    P = np.array([(0.0, 0.0, 0.0), (2.0, 0.0, 0.0), (0.0, 2.0, 0.0), (2.0, 2.0, 0.0)]) * s
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = circumcenter_points(P)
+    assert np.linalg.norm(r.value / s - (1.0, 1.0, 0.0)) <= 1e-12
+    assert r.radius / s == pytest.approx(np.sqrt(2.0), rel=1e-14)
+    assert r.residual <= 1e-14 * r.radius
 
 
 def test_a_tiny_triangle_has_its_centre():

@@ -27,12 +27,7 @@ records:
 - the cost of problem generation, for the report only: the median of 3
   ``gen_subspace_pair`` calls (pairs 0..2, seed 1012, cF in [0.9, 0.95)) at
   n = 100, 400 and 1000, with the median of 3 ``friedrichs_cosine`` calls on
-  the last of those pairs, the part of generation that labels the pair;
-- the cold start, for the report only: the median of COLD_RUNS fresh
-  interpreters for the time of ``import circumsolve`` and for the wall time
-  of a hard-pairs-sized ``python -m circumsolve gen`` (6 pairs x 3 points in
-  R^100, interpreter start included), and whether the import loaded
-  ``scipy.linalg``.
+  the last of those pairs, the part of generation that labels the pair.
 
 It then times the acceptance grid: both experiments (100 problems in R^100
 each, seeds 1012 and 1013) through ``run_grid`` with the six grid solvers, in
@@ -53,12 +48,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import statistics
 import subprocess
 import sys
-import tempfile
-import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -72,16 +64,11 @@ SEED = 7
 # One grid run per side cannot tell two commits apart: re-runs of the same
 # grid work spread by about a fifth on a 2-vCPU box.
 GRID_RUNS = 10
-# fresh interpreters per side for each cold-start time
-COLD_RUNS = 5
 
 GRID = r"""
 import hashlib, json, sys, time
 sys.path.insert(0, sys.argv[1])
 from circumsolve import IterationConfig, ProblemSpec, generate_problem_set, run_grid
-# scipy.linalg loads before the timer on both sides, so a circumsolve that
-# binds LAPACK on first use does not time the import inside run_grid
-import scipy.linalg
 out = {}
 for name, lo, hi, seed in (("high", 0.90, 0.95, 1012), ("low", 0.01, 0.50, 1013)):
     spec = ProblemSpec(n=100, cf_range=(lo, hi), pairs=10, points_per_pair=10, seed=seed)
@@ -176,15 +163,6 @@ print(json.dumps(out))
 """
 
 
-COLD_IMPORT = r"""
-import json, sys, time
-sys.path.insert(0, sys.argv[1])
-start = time.perf_counter()
-import circumsolve
-print(json.dumps({"import_s": time.perf_counter() - start, "scipy_linalg_loaded": "scipy.linalg" in sys.modules}))
-"""
-
-
 def last_json(cmd, cwd: Path) -> dict:
     proc = subprocess.run(cmd, cwd=cwd, capture_output=True, text=True)
     if proc.returncode != 0:
@@ -205,25 +183,6 @@ def module_lines(root: Path) -> dict[str, int]:
     return {p.relative_to(src).as_posix(): len(p.read_text().splitlines()) for p in sorted(src.rglob("*.py"))}
 
 
-def cold_start(root: Path) -> dict:
-    imports = [last_json([sys.executable, "-c", COLD_IMPORT, str(root / "src")], root) for _ in range(COLD_RUNS)]
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    gen_s = []
-    with tempfile.TemporaryDirectory() as tmp:
-        cmd = [sys.executable, "-m", "circumsolve", "gen", "--n", "100", "--cf-lo", "0.90", "--cf-hi", "0.95",
-               "--pairs", "6", "--points", "3", "--seed", "1012", "--out", str(Path(tmp) / "ps.json")]
-        for _ in range(COLD_RUNS):
-            start = time.perf_counter()
-            subprocess.run(cmd, cwd=root, env=env, capture_output=True, check=True)
-            gen_s.append(time.perf_counter() - start)
-    return {
-        "runs": COLD_RUNS,
-        "import_s_median": statistics.median(r["import_s"] for r in imports),
-        "gen_hard_pairs_s_median": statistics.median(gen_s),
-        "scipy_linalg_loaded_by_import": [r["scipy_linalg_loaded"] for r in imports],
-    }
-
-
 def record(root: Path, workloads: list[str]) -> dict:
     runs = {w: {"untraced": perfbench(root, w, 0), "traced": perfbench(root, w, 1)} for w in workloads}
     env = envinfo.environment(root)
@@ -232,7 +191,7 @@ def record(root: Path, workloads: list[str]) -> dict:
     accuracy = last_json([sys.executable, "-c", ACCURACY, str(root / "src")], root)
     generation = last_json([sys.executable, "-c", GENERATION, str(root / "src")], root)
     return {"env": env, "perfbench": runs, "runtime_profile": profile, "circumcenter_accuracy": accuracy,
-            "generation": generation, "cold_start": cold_start(root)}
+            "generation": generation}
 
 
 def summary(values: list[float]) -> dict:
