@@ -126,12 +126,14 @@ def performance_profile(
     measure is formed (unsolved cells get ratio infinity); rho_s(tau) is the
     fraction of problems with ratio at most tau.  Curves share a breakpoint
     grid containing every finite ratio.  Problems unsolved by every solver
-    are excluded with a warning since their best measure is undefined.
+    are excluded with a warning since their best measure is undefined.  A
+    solver named twice in ``solver_keys`` raises ``ValueError``.
     """
     if measure_kind not in MEASURE_KINDS:
         raise ValueError(f"unknown measure {measure_kind!r}")
     if solver_keys is None:
         solver_keys = list(dict.fromkeys(c.solver_key for c in cells))
+    _check_distinct(solver_keys)
     problem_ids = list(dict.fromkeys(c.problem_id for c in cells))
     value = {}
     for c in cells:
@@ -165,6 +167,12 @@ def performance_profile(
         points = tuple((tau, sum(r <= tau for r in rs) / kept) for tau in taus)
         curves.append(ProfileCurve(s, points))
     return curves
+
+
+def _check_distinct(solver_keys: list[str]) -> None:
+    twice = [k for i, k in enumerate(solver_keys) if k in solver_keys[:i]]
+    if twice:
+        raise ValueError(f"solver {twice[0]!r} is named twice")
 
 
 def write_matrix_csv(cells: list[PerformanceCell], path) -> None:
@@ -224,12 +232,14 @@ def run_benchmark(
 
     The performance matrix goes to ``out_path`` and the derived profile to
     ``out_path`` with a ``.profile.csv`` suffix; both paths are returned.
+    Unknown or repeated solver keys raise ``ValueError`` before any run.
     """
+    keys = [SolverSpec.from_key(k).key for k in solver_keys]
+    _check_distinct(keys)
     problems = load_problem_set(problems_path).problems()
     cells = run_grid(problems, solver_keys, cfg, measure_kind)
     out_path = Path(out_path)
     write_matrix_csv(cells, out_path)
-    keys = [SolverSpec.from_key(k).key for k in solver_keys]
     curves = performance_profile(cells, keys, measure_kind)
     profile_path = out_path.with_suffix(".profile.csv")
     write_profile_csv(curves, profile_path)

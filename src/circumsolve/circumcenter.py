@@ -3,10 +3,10 @@
 The circumcenter of a finite set K, when it exists, is the unique point of
 the affine hull of K equidistant from every point of K.  Two independent
 computations are provided: :func:`circumcenter_points` (Gram-system route,
-used by the solvers) and :func:`circumcenter_oracle` (direct least-squares
-solve of the equidistance conditions, used for verification).  They share no
-numerical code path.  The circumcenter mapping of an operator set lives in
-:mod:`circumsolve.theory`.
+which the solvers reach through :func:`proper_circumcenter`) and
+:func:`circumcenter_oracle` (least-squares solve of the equidistance
+conditions, used for verification).  They share no numerical code path.
+The circumcenter mapping of an operator set is in :mod:`circumsolve.theory`.
 """
 
 from __future__ import annotations

@@ -94,6 +94,8 @@ def _cmd_solve(args) -> int:
 
 def _cmd_bench(args) -> int:
     keys = [k.strip() for k in args.solvers.split(",") if k.strip()]
+    if not keys:
+        raise ValueError(f"--solvers names no solver: {args.solvers!r}")
     cfg = IterationConfig(tol=args.tol, max_iter=args.max_iter)
     matrix_path, profile_path = run_benchmark(
         args.problem_set, keys, cfg, _MEASURES[args.measure], args.out

@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .circumcenter import proper_circumcenter
-from .linalg import as_affine, as_vector, bind_lapack, intersect_all, noise_floor
+from .linalg import as_affine, as_vector, bind_lapack, intersect_all, noise_floor, points_floor
 
 SOLVER_KINDS = (
     "crm_s1",
@@ -194,15 +194,16 @@ def make_solver(spec: SolverSpec, subspaces) -> Solver:
     avg-proj and product-crm accept two or more.  A CRM step takes the
     circumcenter of the rows of :func:`~circumsolve.theory.reflection_set`
     at x, made from the subspaces' reflections: t for s1 and s2, 3 for s3
-    and 5 for s4.  An s3 step's output lies in U_2 and an s4 step's in U_1,
-    as these sets are closed under R_2 and R_1, and there the set reduces to
-    the three-point C-DRM set {x, R_1 x, R_2 R_1 x} (s3) or
-    {x, R_2 x, R_1 R_2 x} (s4).  The step keeps its last output, read-only,
-    and takes that set for it with 2 reflections.  Any other x takes it, for
-    3 reflections, when the step finds R_2 x = x (s3) or R_1 x = x (s4)
-    within the circumcenter noise floor, and the full set otherwise; so a
-    projected start or a reused solver behaves as a fresh one.  ``product-crm``
-    is the two-set CRM {Id, R_C R_D} on Pierra's lift
+    and 5 for s4.  The s2 step is the chain x, R_1 x, R_2 R_1 x, ...  An s3
+    step's output lies in U_2 and an s4 step's in U_1, as these sets are
+    closed under R_2 and R_1, and there the set reduces to the C-DRM chain
+    on (U_1, U_2) (s3) or (U_2, U_1) (s4), which they take from s2's code:
+    for their last output, kept read-only, with 2 reflections, and with 3
+    for any other x with R_2 x = x (s3) or R_1 x = x (s4) within the
+    circumcenter noise floor of the two points: the full set's rank filter
+    drops the rows the chain leaves out.  Other points take the full set, so a
+    projected start or a reused solver behaves as a fresh one.
+    ``product-crm`` is the two-set CRM {Id, R_C R_D} on Pierra's lift
     (:func:`~circumsolve.theory.lift_to_product`) in closed form: P_D
     averages the t blocks and R_C reflects block i through the i-th
     subspace.  crm-s1, avg-proj and product-crm take the t projections of
@@ -290,56 +291,42 @@ def make_solver(spec: SolverSpec, subspaces) -> Solver:
 
         return Solver(init, step, _identity)
 
-    # the rows of reflection_set(kind, subs) at x, each reflection made once
+    if spec.kind == "crm_s4":
+        reflect.reverse()
+
+    def chain(x):
+        rows = [x]
+        for r in reflect:
+            rows.append(r(rows[-1]))
+        return proper_circumcenter(np.array(rows))
+
     if spec.kind == "crm_s2":
-        def step(x):
-            rows = [x]
-            for r in reflect:
-                rows.append(r(rows[-1]))
-            return proper_circumcenter(np.array(rows))
+        return Solver(init, chain, _identity)
 
-        return Solver(init, step, _identity)
-
-    # the reduction of the docstring; a row within the noise floor of x is
-    # one the rank filter of the full set would drop anyway
-    r1, r2 = reflect
-
-    def fixes(x, y):
-        d = y - x
-        return math.sqrt(d.dot(d)) <= noise_floor(n, max(x.dot(x), y.dot(y)))
-
-    if spec.kind == "crm_s3":
-        first, second = r1, r2
-
-        def images(x):
-            a, b = r1(x), r2(x)
-            c = r2(a)
-            return [x, a, c] if fixes(x, b) else [x, a, b, c]
-
-    else:
-        first, second = r2, r1
-
-        def images(x):
-            a, b = r1(x), r2(x)
-            if fixes(x, a):
-                return [x, b, r1(b)]
-            c = r2(a)
-            return [x, a, b, c, r1(b), r1(c)]
-
-    # the step's own last output lies in the closing subspace by the lemma,
-    # so it takes the C-DRM set with no test; it is read-only, so x is last
-    # only while it still holds those bits.  Any other x takes images(x),
-    # which gives the same set whenever the test finds x in that subspace
+    first, second = reflect
     last = None
 
     def step(x):
+        # the last output is read-only, so x is last only while it still
+        # holds the bits the lemma puts in the closing subspace
         nonlocal last
-        if x is last:
-            a = first(x)
-            P = np.array([x, a, second(a)])
-        else:
-            P = np.array(images(x))
-        last = proper_circumcenter(P)
+        rows = None
+        if x is not last:
+            y = second(x)
+            d = y - x
+            floor = noise_floor(n, max(x.dot(x), y.dot(y)))
+            if not floor < math.inf:
+                # squares that overflow: the floor of the rows scaled down
+                floor = points_floor(np.array([x, y]))
+            if not math.sqrt(d.dot(d)) <= floor:
+                # reflection_set's rows, each reflection made once
+                b = first(x)
+                if spec.kind == "crm_s3":
+                    rows = [x, b, y, second(b)]
+                else:
+                    c = first(y)
+                    rows = [x, y, b, c, second(b), second(c)]
+        last = chain(x) if rows is None else proper_circumcenter(np.array(rows))
         last.setflags(write=False)
         return last
 

@@ -167,6 +167,20 @@ def test_run_benchmark_runtime_measure_keeps_iteration_columns(tmp_path):
         assert a[4] == "" and b[4] != ""
 
 
+@pytest.mark.parametrize("keys", [["map", "map", "crm-s3"], ["crm_s3", "crm-s3"]])
+def test_run_benchmark_rejects_a_solver_named_twice(tmp_path, keys):
+    out = tmp_path / "matrix.csv"
+    with pytest.raises(ValueError, match="named twice"):
+        run_benchmark(_tiny_problem_file(tmp_path), keys, IterationConfig(), "iterations", out)
+    assert not out.exists()
+
+
+def test_profile_rejects_a_solver_named_twice():
+    cells = [PerformanceCell("p1", "a", True, 1, None), PerformanceCell("p1", "b", True, 2, None)]
+    with pytest.raises(ValueError, match="'a' is named twice"):
+        performance_profile(cells, ["a", "b", "a"])
+
+
 def test_matrix_csv_round_trip(tmp_path):
     cells = [
         PerformanceCell("p1", "map", True, 7, 12345),

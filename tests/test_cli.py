@@ -68,3 +68,31 @@ def test_bad_problem_file_exits_nonzero(tmp_path, capsys):
     rc = main(["bench", "--problem-set", str(bad), "--solvers", "map", "--out", str(tmp_path / "m.csv")])
     assert rc == 1
     assert "version" in capsys.readouterr().err
+
+
+def _tiny_set(tmp_path):
+    ps = tmp_path / "probs.json"
+    main(
+        [
+            "gen", "--n", "8", "--cf-lo", "0.2", "--cf-hi", "0.6",
+            "--pairs", "1", "--points", "2", "--seed", "3",
+            "--p", "2", "--q", "2", "--r", "0", "--out", str(ps),
+        ]
+    )
+    return ps
+
+
+def test_bench_with_a_solver_named_twice_exits_nonzero(tmp_path, capsys):
+    ps, matrix = _tiny_set(tmp_path), tmp_path / "m.csv"
+    rc = main(["bench", "--problem-set", str(ps), "--solvers", "crm_s3,crm-s3", "--out", str(matrix)])
+    assert rc == 1
+    assert "'crm-s3' is named twice" in capsys.readouterr().err
+    assert not matrix.exists()
+
+
+def test_bench_with_no_solver_exits_nonzero_before_writing(tmp_path, capsys):
+    ps, matrix = _tiny_set(tmp_path), tmp_path / "m.csv"
+    rc = main(["bench", "--problem-set", str(ps), "--solvers", ",", "--out", str(matrix)])
+    assert rc == 1
+    assert "--solvers" in capsys.readouterr().err
+    assert not matrix.exists() and not matrix.with_suffix(".profile.csv").exists()

@@ -576,3 +576,17 @@ def test_a_reduced_step_output_is_read_only(kind):
     y = make_solver(SolverSpec(kind), [U1, U2]).step(x0)
     with pytest.raises(ValueError):
         y[0] = 1.0
+
+
+# numpy still warns of overflow on the step path for points this large (the
+# circumcenter solve squares them), though the step is right; the step's
+# closing test must not overflow, or a generic start takes the C-DRM set
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.parametrize("norm", [1e155, 1e160, 1e300])
+@pytest.mark.parametrize("anchored", [False, True], ids=["linear", "anchored"])
+@pytest.mark.parametrize("kind", ["crm_s3", "crm_s4"])
+def test_a_first_step_from_a_huge_start_is_the_circumcenter_map(kind, anchored, norm):
+    U1, U2, x = _reduction_pair(anchored)
+    x0 = x * (norm / np.linalg.norm(x))
+    step = make_solver(SolverSpec(kind), [U1, U2]).step
+    assert np.array_equal(step(x0), circumcenter_map(reflection_set(kind[-2:], [U1, U2]), x0))
