@@ -22,6 +22,7 @@ FEAS_TOL = 1e-9
 _ORTHONORMALITY_TOL = 1e-12
 
 _EPS = float(np.finfo(float).eps)
+_SMALL_SQUARES = float(np.finfo(float).tiny) / _EPS**2
 
 
 # the LAPACK routines circumsolve calls, bound on first use
@@ -103,14 +104,19 @@ def row_squares(E: np.ndarray) -> tuple[list[float], float]:
 
     ``scale`` is 1 and the sums are those of ``(E * E).sum(axis=1)`` unless
     their total overflows (entries of about 1e154 and up; numpy warns of the
-    overflow unless the caller ignores it).  Then ``scale`` is the largest
-    |entry| and the sums are taken on the rows divided by it, so they stay
-    finite.  A NaN or inf entry gives non-finite sums either way.
+    overflow unless the caller ignores it) or falls below tiny / eps^2
+    (entries of about 1e-139 and down, where a difference at the rows'
+    rounding level has a square below the normal range).  Then ``scale`` is
+    the largest |entry| and the sums are taken on the rows divided by it, so
+    they keep their precision.  A NaN or inf entry gives non-finite sums
+    either way, and rows of zeros give zeros.
     """
     sq = np.add.reduce(E * E, axis=1).tolist()
-    if math.isfinite(sum(sq)):
+    if _SMALL_SQUARES <= sum(sq) < math.inf:
         return sq, 1.0
     scale = float(np.abs(E).max())
+    if scale == 0.0:
+        return sq, 1.0
     Q = E / scale
     return np.add.reduce(Q * Q, axis=1).tolist(), scale
 
@@ -119,8 +125,9 @@ def points_floor(P: np.ndarray) -> float:
     """The :func:`noise_floor` of the rows of a checked, finite ``P``.
 
     It is taken from the largest squared row norm of :func:`row_squares`, so
-    the floor stays finite for points whose squares overflow and drops no
-    difference that is not noise.
+    the floor stays finite for points whose squares overflow, above zero for
+    points whose squares underflow, and drops no difference that is not
+    noise.
     """
     sq, scale = row_squares(P)
     return noise_floor(P.shape[1], max(sq)) * scale

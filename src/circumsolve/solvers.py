@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .circumcenter import proper_circumcenter
-from .linalg import as_affine, as_vector, bind_lapack, intersect_all, noise_floor, points_floor
+from .linalg import as_affine, as_vector, bind_lapack, intersect_all, noise_floor, row_squares
 
 SOLVER_KINDS = (
     "crm_s1",
@@ -114,12 +114,17 @@ def iterate(step, x0, cfg: IterationConfig, reference, monitor=None) -> Trace:
     iterations have been taken.  A non-finite iterate raises
     :class:`DivergenceError` with the last finite iterate attached.  The
     iterates are vectors; the driver checks only that they are finite, as
-    ``Solver.init`` has checked the starting point.
+    ``Solver.init`` has checked the starting point.  A reference whose shape
+    is not that of ``x0`` (of ``monitor(x0)`` under a monitor) raises
+    ``ValueError`` rather than broadcasting.
     """
     x = np.asarray(x0, dtype=float)
     reference = np.asarray(reference, dtype=float)
     # with no monitor, or the solvers' identity one, the error is x's own
     plain = monitor is None or monitor is _identity
+    shape = x.shape if plain else np.shape(monitor(x))
+    if reference.shape != shape:
+        raise ValueError(f"reference has shape {reference.shape}, the monitored iterate {shape}")
     errors: list[float] = []
     iterates: list[np.ndarray] | None = [] if cfg.record_trace else None
     last_finite = None
@@ -204,10 +209,12 @@ def make_solver(spec: SolverSpec, subspaces) -> Solver:
     drops the rows the chain leaves out.  Other points take the full set, so a
     projected start or a reused solver behaves as a fresh one.
     ``product-crm`` is the two-set CRM {Id, R_C R_D} on Pierra's lift
-    (:func:`~circumsolve.theory.lift_to_product`) in closed form: P_D
-    averages the t blocks and R_C reflects block i through the i-th
-    subspace.  crm-s1, avg-proj and product-crm take the t projections of
-    a step from one batched product (:func:`_project_rows`).
+    (:func:`~circumsolve.theory.lift_to_product`).  The circumcenter of two
+    points is their midpoint, so its step is the Douglas-Rachford step
+    (v + R_C R_D v) / 2 = v - P_D v + P_C R_D v, taken in closed form with
+    no circumcenter solve: P_D averages the t blocks and P_C projects block
+    i onto the i-th subspace.  crm-s1, avg-proj and product-crm take the t
+    projections of a step from one batched product (:func:`_project_rows`).
 
     drm and the CRM kinds need the subspaces to share a point: one
     :func:`intersect_all` check raises ``ValueError("common fixed set is
@@ -264,12 +271,14 @@ def make_solver(spec: SolverSpec, subspaces) -> Solver:
         project = _project_rows(subs)
 
         def step(v):
-            # R_D v = 2 P_D v - v block by block (P_D v is the blocks' mean),
-            # then R_C reflects block i through U_i
+            # (v + R_C R_D v) / 2 block by block: with m = P_D v, the blocks'
+            # mean, block i is v_i - m + P_i(2m - v_i)
             blocks = v.reshape(t, n)
-            rd = 2.0 * (blocks.sum(axis=0) / t) - blocks
-            rcd = 2.0 * project(rd) - rd
-            return proper_circumcenter(np.array([v, rcd.ravel()]))
+            m = blocks.sum(axis=0) / t
+            out = project(2.0 * m - blocks)
+            out -= m
+            out += blocks
+            return out.ravel()
 
         return Solver(lambda x: np.tile(init(x), t), step, lambda v: v[:n])
 
@@ -313,12 +322,10 @@ def make_solver(spec: SolverSpec, subspaces) -> Solver:
         rows = None
         if x is not last:
             y = second(x)
-            d = y - x
-            floor = noise_floor(n, max(x.dot(x), y.dot(y)))
-            if not floor < math.inf:
-                # squares that overflow: the floor of the rows scaled down
-                floor = points_floor(np.array([x, y]))
-            if not math.sqrt(d.dot(d)) <= floor:
+            # |y - x| against the noise floor of x and y, on the three rows
+            # scaled where their squares overflow or underflow
+            sq, _ = row_squares(np.array([x, y, y - x]))
+            if not math.sqrt(sq[2]) <= noise_floor(n, max(sq[0], sq[1])):
                 # reflection_set's rows, each reflection made once
                 b = first(x)
                 if spec.kind == "crm_s3":

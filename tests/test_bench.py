@@ -14,7 +14,7 @@ from circumsolve.bench import (
 )
 from circumsolve.linalg import LinearSubspace
 from circumsolve.problems import Problem, ProblemSpec, generate_problem_set, save_problem_set
-from circumsolve.solvers import IterationConfig, SolverSpec
+from circumsolve.solvers import DivergenceError, IterationConfig, SolverSpec, iterate, make_solver
 
 XAXIS = LinearSubspace.span([(1, 0)]).as_affine()
 YAXIS = LinearSubspace.span([(0, 1)]).as_affine()
@@ -44,6 +44,22 @@ def test_measure_flags_unsolved_under_hopeless_budget():
     cell = measure(prob, SolverSpec("map"), cfg)
     assert not cell.solved
     assert cell.iterations is None and cell.runtime_ns is None
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_product_crm_run_that_overflows_diverges_and_its_cell_is_unsolved():
+    # the blocks' mean of a start of norm 1.5e308 overflows on the first
+    # step; the step solves no circumcenter, so the driver raises, and measure
+    # reports the cell unsolved as it does a diverged drm run
+    diag = LinearSubspace.span([(1, 1)]).as_affine()
+    prob = Problem("huge", (XAXIS, YAXIS, diag), np.full(2, 1.5e308 / np.sqrt(2.0)), np.zeros(2), 0.0)
+    spec = SolverSpec("product_crm")
+    s = make_solver(spec, prob.subspaces)
+    with pytest.raises(DivergenceError, match="iterate 1 is not finite"):
+        iterate(s.step, s.init(prob.x0), IterationConfig(), prob.reference, monitor=s.monitor)
+    with pytest.warns(UserWarning, match="product-crm diverged on huge"):
+        cell = measure(prob, spec, IterationConfig())
+    assert not cell.solved and cell.iterations is None
 
 
 def test_measure_runtime_records_nanoseconds():

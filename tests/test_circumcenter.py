@@ -17,6 +17,7 @@ from circumsolve.theory import (
     Reflector,
     circumcenter_map,
     circumcenter_via_fixpoint,
+    dr_operator,
     lift_to_product,
     reflection_set,
 )
@@ -404,6 +405,41 @@ def test_product_crm_step_matches_the_lifted_operator_set():
         v = rng.standard_normal(18) * 3
         expected = circumcenter_map(S, v)
         assert np.linalg.norm(step(v) - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def _product_tuple(rng, t, anchored):
+    subs = _affine_subspaces(rng, t)
+    return subs if anchored else [s.direction.as_affine() for s in subs]
+
+
+@pytest.mark.parametrize("anchored", [False, True], ids=["linear", "anchored"])
+@pytest.mark.parametrize("t", [2, 3, 4])
+def test_product_crm_step_is_the_douglas_rachford_step_on_the_lift(anchored, t):
+    # the circumcenter of {v, R_C R_D v} is their midpoint, the DR operator
+    # (Id + R_C R_D) / 2 = dr_operator(D, C) of Pierra's lift
+    rng = np.random.default_rng(31)
+    subs = _product_tuple(rng, t, anchored)
+    C, D = lift_to_product(subs)
+    T = dr_operator(D, C)
+    step = make_solver(SolverSpec("product_crm"), subs).step
+    for _ in range(10):
+        v = rng.standard_normal(6 * t) * 3
+        expected = T(v)
+        assert np.linalg.norm(step(v) - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("anchored", [False, True], ids=["linear", "anchored"])
+def test_product_crm_step_solves_no_circumcenter(monkeypatch, anchored):
+    def refuse(P):
+        raise AssertionError("the product-crm step solved a circumcenter")
+
+    monkeypatch.setattr(solvers, "proper_circumcenter", refuse)
+    rng = np.random.default_rng(32)
+    s = make_solver(SolverSpec("product_crm"), _product_tuple(rng, 4, anchored))
+    v = s.init(rng.standard_normal(6))
+    for _ in range(5):
+        v = s.step(v)
+    assert v.shape == (24,) and np.isfinite(v).all()
 
 
 _C = np.array([1e6, -2e6, 5e5])

@@ -572,3 +572,13 @@ def test_the_points_floor_scales_with_the_points():
         big = linalg.points_floor(P * 1e200)
     assert np.isfinite(big)
     assert abs(big / 1e200 - linalg.points_floor(P)) <= 1e-14 * linalg.points_floor(P)
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-200, 1e-250])
+def test_the_points_floor_scales_with_tiny_points(scale):
+    # below about 1e-139 the squares lose their precision or underflow to
+    # zero, which once gave tiny points a floor of zero
+    P = np.random.default_rng(5).standard_normal((4, 7))
+    small = linalg.points_floor(P * scale)
+    assert abs(small / scale - linalg.points_floor(P)) <= 1e-14 * linalg.points_floor(P)
+    assert linalg.row_squares(np.zeros((2, 3))) == ([0.0, 0.0], 1.0)

@@ -590,3 +590,27 @@ def test_a_first_step_from_a_huge_start_is_the_circumcenter_map(kind, anchored, 
     x0 = x * (norm / np.linalg.norm(x))
     step = make_solver(SolverSpec(kind), [U1, U2]).step
     assert np.array_equal(step(x0), circumcenter_map(reflection_set(kind[-2:], [U1, U2]), x0))
+
+
+# the twin of the huge start: below about 1e-154 the squares of x, R x and
+# their difference underflow to zero, and a zero floor once passed every point
+@pytest.mark.parametrize("norm", [1e-170, 1e-200, 1e-300])
+@pytest.mark.parametrize("anchored", [False, True], ids=["linear", "anchored"])
+@pytest.mark.parametrize("kind", ["crm_s3", "crm_s4"])
+def test_a_first_step_from_a_tiny_start_is_the_circumcenter_map(kind, anchored, norm):
+    U1, U2, x = _reduction_pair(anchored)
+    x0 = x * (norm / np.linalg.norm(x))
+    step = make_solver(SolverSpec(kind), [U1, U2]).step
+    assert np.array_equal(step(x0), circumcenter_map(reflection_set(kind[-2:], [U1, U2]), x0))
+
+
+@pytest.mark.parametrize("kind", ["map", "drm", "product_crm"])
+def test_iterate_rejects_a_reference_of_another_shape(kind):
+    # a length-1 reference once broadcast against the iterate, and a run could
+    # report itself solved at k = 0
+    U1, U2, x0 = _reduction_pair(False, n=5)
+    s = make_solver(SolverSpec(kind), [U1, U2])
+    for reference in (np.zeros(1), np.zeros(10), np.zeros((1, 5)), 0.0):
+        with pytest.raises(ValueError, match="reference has shape"):
+            iterate(s.step, s.init(x0), IterationConfig(), reference, monitor=s.monitor)
+    iterate(s.step, s.init(x0), IterationConfig(max_iter=3), np.zeros(5), monitor=s.monitor)
