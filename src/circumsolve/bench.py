@@ -18,6 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
+from .circumcenter import CircumcenterError
 from .problems import Problem, load_problem_set
 from .solvers import DivergenceError, IterationConfig, SolverSpec, iterate, make_solver
 
@@ -54,9 +55,11 @@ def measure(
 ) -> PerformanceCell:
     """Run one solver on one problem and record the chosen measure.
 
-    Divergence and iteration-budget exhaustion both yield an unsolved cell;
-    runtimes are only recorded for solved runs and under the runtime
-    measure.
+    Divergence, a step whose circumcenter cannot be found (say, from a start
+    whose reflections overflow) and iteration-budget exhaustion all yield an
+    unsolved cell, the first two with a warning naming the solver, the
+    problem and the error; runtimes are only recorded for solved runs and
+    under the runtime measure.
     """
     if measure_kind not in MEASURE_KINDS:
         raise ValueError(f"unknown measure {measure_kind!r}")
@@ -66,6 +69,9 @@ def measure(
         trace = iterate(solver.step, x0, cfg, problem.reference, monitor=solver.monitor)
     except DivergenceError as exc:
         warnings.warn(f"{spec.key} diverged on {problem.id}: {exc}")
+        return PerformanceCell(problem.id, spec.key, False, None, None)
+    except CircumcenterError as exc:
+        warnings.warn(f"{spec.key} failed on {problem.id}: {exc}")
         return PerformanceCell(problem.id, spec.key, False, None, None)
     if not trace.solved:
         return PerformanceCell(problem.id, spec.key, False, None, None)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -395,16 +396,38 @@ def intersect(a, b):
     return AffineSubspace(x, LinearSubspace(n, U[:, ~keep].T @ BA))
 
 
+# intersect_all's folds, keyed by the ids of the subspaces folded: an entry
+# holds weak references to them and is dropped when the first of them dies
+_FOLDS: dict = {}
+
+
 def intersect_all(subspaces):
-    """Fold :func:`intersect` over a nonempty list; ``None`` if empty overall."""
+    """Fold :func:`intersect` over a nonempty list; ``None`` if empty overall.
+
+    Subspaces are immutable, so the fold, or its ``None``, is kept while
+    every subspace folded is alive, keyed by their identity: a later call on
+    the same objects returns it, and equal but distinct objects (the affine
+    form of a ``LinearSubspace`` is fresh on each call) are folded again.
+    """
     subs = [as_affine(s) for s in subspaces]
     if not subs:
         raise ValueError("at least one subspace required")
+    if len(subs) == 1:
+        # its own fold, kept out of the memo: the entry would keep it alive
+        return subs[0]
+    key = tuple(map(id, subs))
+    hit = _FOLDS.get(key)
+    if hit is not None and all(r() is s for r, s in zip(hit[0], subs)):
+        return hit[1]
     acc = subs[0]
     for s in subs[1:]:
         acc = intersect(acc, s)
         if acc is None:
-            return None
+            break
+    # the dict is bound as a default, so a callback at interpreter exit
+    # still finds it after the module's globals are cleared
+    forget = lambda _, key=key, folds=_FOLDS: folds.pop(key, None)
+    _FOLDS[key] = ([weakref.ref(s, forget) for s in subs], acc)
     return acc
 
 

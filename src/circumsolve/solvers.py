@@ -218,7 +218,11 @@ def make_solver(spec: SolverSpec, subspaces) -> Solver:
 
     drm and the CRM kinds need the subspaces to share a point: one
     :func:`intersect_all` check raises ``ValueError("common fixed set is
-    empty")`` when they do not.  When every anchor is exactly zero the
+    empty")`` when they do not.  It folds each live tuple once:
+    :func:`intersect_all` keeps the fold, or its ``None``, keyed by the
+    subspaces' identity until the first of them dies, so every solver and
+    start built on the same objects shares it, and a tuple with no common
+    point raises on every call.  When every anchor is exactly zero the
     origin is such a point, so the check is skipped.
     """
     subs = [as_affine(s) for s in subspaces]

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circumsolve import bench
 from circumsolve.bench import (
     PerformanceCell,
     measure,
@@ -14,7 +17,7 @@ from circumsolve.bench import (
 )
 from circumsolve.linalg import LinearSubspace
 from circumsolve.problems import Problem, ProblemSpec, generate_problem_set, save_problem_set
-from circumsolve.solvers import DivergenceError, IterationConfig, SolverSpec, iterate, make_solver
+from circumsolve.solvers import SOLVER_KEYS, DivergenceError, IterationConfig, SolverSpec, Trace, iterate, make_solver
 
 XAXIS = LinearSubspace.span([(1, 0)]).as_affine()
 YAXIS = LinearSubspace.span([(0, 1)]).as_affine()
@@ -62,6 +65,52 @@ def test_a_product_crm_run_that_overflows_diverges_and_its_cell_is_unsolved():
     assert not cell.solved and cell.iterations is None
 
 
+def _overflowing_problem():
+    # the reflections of a start this large overflow on the first step
+    diag = LinearSubspace.span([(1, 1)]).as_affine()
+    return Problem("overflow", (XAXIS, diag), np.full(2, 1.06e308), np.zeros(2), 0.0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("key", SOLVER_KEYS)
+def test_measure_reports_a_run_whose_reflections_overflow_and_does_not_raise(key):
+    # the CRM kinds find no circumcenter there, drm, avg-proj and product-crm
+    # diverge, and map, whose projections stay finite, solves
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cell = measure(_overflowing_problem(), SolverSpec.from_key(key), IterationConfig())
+    reported = [str(w.message) for w in caught if w.category is UserWarning]
+    if key == "map":
+        assert cell.solved and reported == []
+    else:
+        assert not cell.solved and cell.iterations is None
+        assert len(reported) == 1 and reported[0].startswith(f"{key} ") and " on overflow: " in reported[0]
+    if key.startswith("crm-"):
+        assert "no equidistant point found" in reported[0]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_a_grid_with_an_overflowing_start_runs_to_the_end():
+    keys = list(SOLVER_KEYS)
+    cells = run_grid([_overflowing_problem(), _perpendicular_problem()], keys, IterationConfig())
+    assert [c.solver_key for c in cells] == keys * 2
+    assert [c.solved for c in cells[: len(keys)]] == [k == "map" for k in keys]
+    assert all(c.solved for c in cells[len(keys) :])
+
+
+def test_measure_runtime_keeps_the_least_of_its_repeats(monkeypatch):
+    walls = iter([3e-3, 1e-3, 2e-3])
+
+    def timed(step, x0, cfg, reference, monitor=None):
+        return Trace(np.zeros(2), 1, True, next(walls))
+
+    monkeypatch.setattr(bench, "iterate", timed)
+    cell = measure(_perpendicular_problem(), SolverSpec("map"), IterationConfig(), "runtime")
+    assert cell.runtime_ns == 1_000_000
+    assert next(walls, None) is None
+
+
 def test_measure_runtime_records_nanoseconds():
     cell = measure(_perpendicular_problem(), SolverSpec("map"), IterationConfig(), "runtime")
     assert cell.solved and cell.runtime_ns is not None and cell.runtime_ns > 0
@@ -98,6 +147,17 @@ def test_profile_unsolved_cell_plateaus_below_one():
     ca, cb = performance_profile(cells, ["a", "b"])
     assert cb.breakpoints[-1][1] == 0.5
     assert ca.breakpoints[-1][1] == 1.0
+
+
+def test_profile_ratio_against_a_best_of_zero_is_infinite_unless_zero():
+    cells = [
+        PerformanceCell("p1", "a", True, 0, None),
+        PerformanceCell("p1", "b", True, 3, None),
+        PerformanceCell("p1", "c", True, 0, None),
+    ]
+    ca, cb, cc = performance_profile(cells, ["a", "b", "c"])
+    assert ca.breakpoints == cc.breakpoints == ((1.0, 1.0),)
+    assert cb.breakpoints == ((1.0, 0.0),)
 
 
 def test_profile_warns_and_drops_all_unsolved_problems():

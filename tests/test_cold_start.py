@@ -121,3 +121,47 @@ print(json.dumps({"before": before, "after": "scipy.linalg" in sys.modules}))
 
 def test_a_crm_solver_binds_lapack_at_set_up_not_in_its_timed_steps():
     assert _fresh(CRM_SET_UP) == {"before": False, "after": True}
+
+
+ANCHORED_GRID = r"""
+import json, os, sys
+import numpy as np
+from circumsolve import AffineSubspace, IterationConfig, LinearSubspace, linalg, reference_solution, run_grid
+from circumsolve.problems import Problem
+
+# three tuples of four anchored subspaces of R^12 through a shared point; the
+# references fold equal copies, which die at once, so the pool threads make
+# each tuple's first fold, and the tuples live until interpreter exit
+n = 12
+problems = []
+for g in range(3):
+    rng = np.random.default_rng([2828, g])
+    z = rng.standard_normal(n)
+    shared = rng.standard_normal((2, n))
+    subs = tuple(AffineSubspace(z, LinearSubspace.span(np.vstack([shared, rng.standard_normal((3, n))])))
+                 for _ in range(4))
+    for j, v in enumerate(rng.standard_normal((2, n))):
+        ref = reference_solution([AffineSubspace(s.anchor, s.direction) for s in subs], v)
+        problems.append(Problem(f"t{g}:{j}", subs, v, ref, 0.0))
+keys = ["crm-s1", "crm-s2", "product-crm", "avg-proj"]
+before = len(linalg._FOLDS)
+sys.setswitchinterval(1e-6)  # switch threads often while they fold and look up
+threaded = [c.iterations for c in run_grid(problems, keys, IterationConfig(tol=1e-8))]
+os.environ["CIRCUMSOLVE_WORKERS"] = "1"
+serial = [c.iterations for c in run_grid(problems, keys, IterationConfig(tol=1e-8))]
+print(json.dumps({"before": before, "threaded": threaded, "serial": serial, "folds": len(linalg._FOLDS)}))
+"""
+
+
+def test_an_anchored_grid_on_two_workers_keeps_serial_counts_and_exits_quietly():
+    environ = dict(os.environ, PYTHONPATH=SRC, CIRCUMSOLVE_WORKERS="2")
+    proc = subprocess.run(
+        [sys.executable, "-c", ANCHORED_GRID], env=environ, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    # the kept folds die with their subspaces at exit, and say nothing then
+    assert proc.stderr == ""
+    out = json.loads(proc.stdout)
+    assert None not in out["threaded"]
+    assert out["threaded"] == out["serial"]
+    assert out["before"] == 0 and out["folds"] == 3

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -476,6 +479,56 @@ def test_intersect_all_three_subspaces():
     inter = intersect_all(subs)
     assert inter.direction.dim == 1
     assert inter.direction.same_span(LinearSubspace.span([w]))
+
+
+def _anchored_triple(seed):
+    # three planes of R^6 through a shared point, meeting in a line
+    rng = np.random.default_rng(seed)
+    z, w = rng.standard_normal((2, 6))
+    return [AffineSubspace(z, LinearSubspace.span(np.vstack([w, rng.standard_normal(6)]))) for _ in range(3)]
+
+
+def _counting_intersect(monkeypatch):
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return intersect(a, b)
+
+    monkeypatch.setattr(linalg, "intersect", counted)
+    return calls
+
+
+def test_intersect_all_folds_a_live_tuple_once(monkeypatch):
+    subs = _anchored_triple(11)
+    first = intersect_all(subs)
+    calls = _counting_intersect(monkeypatch)
+    assert intersect_all(subs) is first
+    assert intersect_all(tuple(subs)) is first
+    assert calls == []
+
+
+def test_intersect_all_folds_equal_but_distinct_subspaces_again(monkeypatch):
+    subs = _anchored_triple(12)
+    first = intersect_all(subs)
+    twins = [AffineSubspace(s.anchor, LinearSubspace(6, s.direction.basis)) for s in subs]
+    calls = _counting_intersect(monkeypatch)
+    again = intersect_all(twins)
+    assert len(calls) == 2
+    assert again is not first
+    assert np.array_equal(again.anchor, first.anchor)
+    assert np.array_equal(again.direction.basis, first.direction.basis)
+
+
+def test_intersect_all_forgets_a_tuple_when_its_subspaces_die():
+    subs = _anchored_triple(13)
+    key = tuple(map(id, subs))
+    fold = weakref.ref(intersect_all(subs))
+    assert key in linalg._FOLDS and fold() is not None
+    del subs
+    gc.collect()
+    assert key not in linalg._FOLDS
+    assert fold() is None
 
 
 def test_non_orthonormal_basis_rejected():

@@ -344,6 +344,21 @@ def test_make_solver_checks_anchored_subspaces_for_a_common_point(monkeypatch, k
     assert calls == expected
 
 
+@pytest.mark.parametrize("kind", ["crm_s1", "crm_s2", "product_crm", "crm_s3", "crm_s4", "drm"])
+def test_make_solver_rejects_a_disjoint_tuple_on_every_call(monkeypatch, kind):
+    # the empty fold is kept as well, so the second call raises with no new intersect
+    subs = [AffineSubspace((0.0, 2.0), XAXIS.direction), AffineSubspace((0.0, -1.0), XAXIS.direction)]
+    if kind not in PAIR_ONLY_KINDS:
+        subs.append(YAXIS)
+    with pytest.raises(ValueError, match="common fixed set is empty"):
+        make_solver(SolverSpec(kind), subs)
+    calls = []
+    monkeypatch.setattr(linalg, "intersect", lambda a, b: calls.append((a, b)))
+    with pytest.raises(ValueError, match="common fixed set is empty"):
+        make_solver(SolverSpec(kind), subs)
+    assert calls == []
+
+
 def test_make_solver_rejects_mixed_ambient_dimensions():
     with pytest.raises(ValueError, match="different ambient dimensions"):
         make_solver(SolverSpec("map"), [XAXIS, LinearSubspace.span([(1, 0, 0)])])
